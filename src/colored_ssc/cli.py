@@ -2,7 +2,10 @@
 
 Subcommands: validate, bipartite, forcing, eeo-derive, oracle, check,
 export-dot.  ``check`` exits 0 for CONTROLLABLE, 2 for UNDECIDED, 1 for
-input errors; a soundness violation (positive certificate contradicted by
+input errors; every command exits 3 when the input needs more exhaustive
+search than a cap allows (force-source subsets past
+``SearchConfig.max_source_cap``, or a slice too large for matching
+enumeration); a soundness violation (positive certificate contradicted by
 the oracle) aborts with exit code 70.  Set COLORED_SSC_LOG=debug for
 trace-level logging.
 """
@@ -25,13 +28,14 @@ from .analysis import (
     eeo_to_jsonable,
 )
 from .bipartite import (
+    EnumerationCapError,
     enumerate_matchings,
     equivalence_classes,
     pattern_nonsingular,
     symbolic_det,
 )
 from .edgeops import eeo_derived_set
-from .forcing import derived_set_greedy, is_zero_forcing_set
+from .forcing import SearchBoundExceededError, derived_set_greedy, is_zero_forcing_set
 from .graph import (
     GraphFormatError,
     dumps,
@@ -53,6 +57,7 @@ from .oracle import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNDECIDED = 2
+EXIT_SEARCH_CAP = 3
 EXIT_SOUNDNESS = 70
 
 
@@ -102,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tolerance", type=float, default=None)
 
-    p = sub.add_parser("check", help="full verdict pipeline (exit 0/2/1)")
+    p = sub.add_parser("check", help="full verdict pipeline (exit 0/2/1/3)")
     _common_flags(p)
     p.add_argument("--oracle", action="store_true", help="attach a sampled cross-check")
     p.add_argument("--trials", type=int, default=100)
@@ -305,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except SoundnessError as exc:
         print(f"internal soundness violation: {exc}", file=sys.stderr)
         return EXIT_SOUNDNESS
+    except (SearchBoundExceededError, EnumerationCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEARCH_CAP
     except (
         GraphFormatError,
         NoLeadersError,

@@ -10,7 +10,7 @@ over force choices, memoizing black sets that provably cannot reach V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 from typing import Callable, Sequence
 
 from .bipartite import certifying_signature
@@ -18,7 +18,6 @@ from .graph import (
     ColoredDigraph,
     induced_bipartite,
     iter_vset,
-    vset,
     vset_labels,
     white_out_neighbors,
 )
@@ -32,10 +31,14 @@ class SearchBoundExceededError(RuntimeError):
 class SearchConfig:
     """Budgets for the exponential parts of the analysis.
 
-    ``max_source_cap`` bounds the size of black sets over which force
-    sources are enumerated exhaustively; beyond it the exhaustive search
-    refuses (greedy callers may truncate instead).  ``eeo_budget`` caps
-    the number of states the edge-operation search expands.
+    ``max_source_cap`` bounds the work of one force-source enumeration:
+    it may look at no more than ``2**max_source_cap - 1`` candidate
+    subsets (as many as a black set of ``max_source_cap`` vertices has).
+    Candidates are the black vertices with a white out-neighbor, so any
+    black set up to the cap is always enumerated in full.  Beyond the
+    budget the exhaustive search refuses (greedy callers may truncate
+    instead).  ``eeo_budget`` caps the number of states the edge-operation
+    search expands.
     """
 
     max_source_cap: int = 12
@@ -100,6 +103,43 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
     return Force(source=source, target=target, class_signature=signature)
 
 
+def _source_domain(
+    g: ColoredDigraph,
+    black: int,
+    max_source: int | None,
+    config: SearchConfig,
+    allow_truncation: bool,
+) -> tuple[list[tuple[int, int]], int, bool]:
+    """Where force sources can come from at ``black``.
+
+    Returns the candidates as (vertex bit, white out-neighbors) pairs, the
+    largest source size to enumerate, and whether that size was cut down to
+    fit ``config.max_source_cap``.  Only black vertices with a white
+    out-neighbor are candidates (any other one is a zero row of every slice
+    it joins), and a source has at most as many members as there are white
+    vertices.  The candidate subsets up to the size limit may number at most
+    ``2**max_source_cap - 1``, the subsets of a black set at the cap.
+    """
+    white = g.full_mask & ~black
+    candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
+    candidates = [(bit, reach) for bit, reach in candidates if reach]
+    limit = min(len(candidates), white.bit_count())
+    if max_source is not None:
+        limit = min(limit, max_source)
+    budget = (1 << config.max_source_cap) - 1
+    subsets = 0
+    for size in range(1, limit + 1):
+        subsets += comb(len(candidates), size)
+        if subsets > budget:
+            if not allow_truncation:
+                raise SearchBoundExceededError(
+                    f"sources of up to {limit} of {len(candidates)} candidate vertices "
+                    f"exceed the budget of 2**{config.max_source_cap} - 1 subsets"
+                )
+            return candidates, size - 1, True
+    return candidates, limit, False
+
+
 def find_forces(
     g: ColoredDigraph,
     black: int,
@@ -109,34 +149,42 @@ def find_forces(
 ) -> list[Force]:
     """All forces available at ``black``, smallest source first.
 
-    Sources are enumerated by increasing size, lexicographically within a
-    size, so the returned order is reproducible.  Exhaustive enumeration
-    over a black set larger than ``config.max_source_cap`` raises
-    :class:`SearchBoundExceededError` unless truncation is allowed.
+    Sources are ordered by increasing size, lexicographically within a
+    size, so the returned order is reproducible.  Only sources that can
+    force are enumerated: subsets of the black vertices with a white
+    out-neighbor, no larger than the white set (or ``max_source``).  When
+    those subsets number more than ``2**config.max_source_cap - 1``, the
+    call raises :class:`SearchBoundExceededError`, or with
+    ``allow_truncation`` keeps the largest source size whose subsets fit.
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
-    if not g.full_mask & ~black:
-        return []  # nothing white, nothing to force
-    members = [v for v in iter_vset(black)]
-    limit = len(members) if max_source is None else min(max_source, len(members))
-    if limit > config.max_source_cap:
-        if not allow_truncation:
-            raise SearchBoundExceededError(
-                f"source enumeration over {len(members)} black vertices exceeds "
-                f"cap {config.max_source_cap}"
-            )
-        limit = config.max_source_cap
-    forces = []
-    for size in range(1, limit + 1):
-        for subset in combinations(members, size):
-            source = vset(subset)
-            target = white_out_neighbors(g, source, black)
-            if not target or target.bit_count() != size:
+    candidates, limit, _ = _source_domain(g, black, max_source, config, allow_truncation)
+    last = len(candidates) - 1
+    forces: list[Force] = []
+
+    def extend(start: int, source: int, target: int, size: int) -> None:
+        # Depth first over candidates in index order; adding members only
+        # grows the white target, so a branch dies once the target is wider
+        # than any source it can still reach.
+        size += 1
+        for i in range(start, last + 1):
+            bit, reach = candidates[i]
+            x, y = source | bit, target | reach
+            width = y.bit_count()
+            if width > min(limit, size + last - i):
                 continue
-            force = is_color_perfect(g, source, black)
-            if force is not None:
-                forces.append(force)
+            if width == size:
+                signature = certifying_signature(induced_bipartite(g, x, black))
+                if signature is not None:
+                    forces.append(Force(source=x, target=y, class_signature=signature))
+            if size < limit:
+                extend(i + 1, x, y, size)
+
+    extend(0, 0, 0, 0)
+    # depth-first order is lexicographic, so a stable sort by size gives
+    # size-then-lexicographic order
+    forces.sort(key=lambda f: f.source.bit_count())
     return forces
 
 
@@ -159,17 +207,16 @@ def derived_set_greedy(
 ) -> DerivationTrace:
     """Apply forces per policy until none remain; no backtracking.
 
-    Over-large black sets are handled by truncating the source size to the
-    configured cap, flagged on the returned trace.
+    A step whose candidate subsets pass the configured budget only looks
+    at sources of the largest size that fits, and the returned trace is
+    flagged as truncated.
     """
     choose = _POLICIES[policy] if isinstance(policy, str) else policy
     initial = black
     steps: list[Force] = []
     truncated = False
     while True:
-        limit = black.bit_count() if max_source is None else max_source
-        if min(limit, black.bit_count()) > config.max_source_cap:
-            truncated = True
+        truncated |= _source_domain(g, black, max_source, config, allow_truncation=True)[2]
         forces = find_forces(g, black, max_source, config, allow_truncation=True)
         if not forces:
             break

@@ -1,11 +1,23 @@
-"""Shared helpers: label conversions, corpus access, random generators."""
+"""Shared helpers: label conversions, corpus access, random generators,
+and the all-subsets reference for force enumeration."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from colored_ssc import ColoredDigraph, vset_from_labels, vset_labels
+from colored_ssc import (
+    ColoredDigraph,
+    Force,
+    is_color_perfect,
+    vset,
+    vset_from_labels,
+    vset_labels,
+    vset_members,
+    white_out_neighbors,
+)
 from colored_ssc.bipartite import ColoredBipartite, standalone_bipartite
 from colored_ssc.corpus import load as load_fig
 
@@ -56,6 +68,27 @@ def random_digraph(
             colors=tuple(f"c{i + 1}" for i in range(len(used))),
             leaders=leaders,
         )
+
+
+def all_subsets_forces(
+    g: ColoredDigraph, black: int, max_source: int | None = None
+) -> list[Force]:
+    """Reference force list: every subset of the black set, by size then
+    lexicographically, tested with the color change rule.  No pruning and
+    no cap, so ``find_forces`` can be checked against it."""
+    members = vset_members(black)
+    limit = len(members) if max_source is None else min(max_source, len(members))
+    forces = []
+    for size in range(1, limit + 1):
+        for subset in combinations(members, size):
+            source = vset(subset)
+            target = white_out_neighbors(g, source, black)
+            if not target or target.bit_count() != size:
+                continue
+            force = is_color_perfect(g, source, black)
+            if force is not None:
+                forces.append(force)
+    return forces
 
 
 def random_bipartite(

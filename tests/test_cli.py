@@ -7,7 +7,7 @@ import json
 import pytest
 
 from colored_ssc import serialize, validate
-from colored_ssc.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNDECIDED, main
+from colored_ssc.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SEARCH_CAP, EXIT_UNDECIDED, main
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig, path as fig_path
 
 
@@ -98,6 +98,36 @@ class TestForcing:
         report = json.loads(out)
         assert report["final"] == [1, 2, 3, 4, 5, 6]
         assert report["zero_forcing"] is False
+
+
+class TestSearchCap:
+    """Inputs past a search cap exit cleanly with one error line."""
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        # 15 leaders, each pointing at all 15 followers: 2**15 - 1 candidate
+        # force sources, past the default budget of 2**12 - 1
+        doc = {
+            "n": 30,
+            "colors": ["c1"],
+            "edges": [[t, h, 1] for t in range(1, 16) for h in range(16, 31)],
+            "leaders": list(range(1, 16)),
+        }
+        target = tmp_path / "wide.json"
+        target.write_text(json.dumps(doc))
+        return str(target)
+
+    @pytest.mark.parametrize("command", ["check", "forcing"])
+    def test_exit_code(self, capsys, wide, command):
+        code, out, err = run_cli(capsys, command, wide)
+        assert code == EXIT_SEARCH_CAP
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_greedy_truncates_instead(self, capsys, wide):
+        code, out, _ = run_cli(capsys, "forcing", wide, "--greedy", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["truncated"] is True
 
 
 class TestBipartite:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,29 @@ from colored_ssc import (
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.forcing import SearchBoundExceededError, SearchConfig
 
-from conftest import labels, members1, random_digraph
+from conftest import all_subsets_forces, labels, members1, random_digraph
+
+
+def _path(n: int) -> ColoredDigraph:
+    return ColoredDigraph(n=n, edges=tuple((t, t + 1, 0) for t in range(n - 1)), colors=("c1",))
+
+
+def _private_targets(k: int, n: int = 62) -> ColoredDigraph:
+    """Vertex v < k points at its own vertex k + v.  With black = {0..k-1},
+    every subset of the black set is a force, so the forces found are the
+    subsets looked at."""
+    return ColoredDigraph(n=n, edges=tuple((v, k + v, 0) for v in range(k)), colors=("c1",))
+
+
+def _fitting_size(g: ColoredDigraph, black: int, max_source: int | None, cap: int) -> int:
+    """Largest source size whose candidate subsets number at most 2**cap - 1."""
+    white = g.full_mask & ~black
+    c = sum(1 for v in range(g.n) if black >> v & 1 and g.out_masks[v] & white)
+    limit = min(c, white.bit_count(), c if max_source is None else max_source)
+    size = 0
+    while size < limit and sum(comb(c, k) for k in range(1, size + 2)) < 1 << cap:
+        size += 1
+    return size
 
 
 class TestIsColorPerfect:
@@ -70,11 +94,56 @@ class TestFindForces:
         assert sizes == sorted(sizes)
 
     def test_bound_exceeded(self):
-        n = 14
-        edges = tuple((t, t + 1, 0) for t in range(n - 1))
-        g = ColoredDigraph(n=n, edges=edges, colors=("c1",))
+        # 15 black vertices, each pointing at all 15 white ones: 2**15 - 1
+        # candidate subsets against a budget of 2**12 - 1
+        edges = tuple((t, h, 0) for t in range(15) for h in range(15, 30))
+        g = ColoredDigraph(n=30, edges=edges, colors=("c1",))
         with pytest.raises(SearchBoundExceededError):
-            find_forces(g, labels(*range(1, n)))  # 13 black vertices, cap is 12
+            find_forces(g, labels(*range(1, 16)))
+
+    def test_path_has_one_candidate(self):
+        # 13 black vertices, but only vertex 13 has a white out-neighbor
+        g = _path(14)
+        forces = find_forces(g, labels(*range(1, 14)))
+        assert [(members1(f.source), members1(f.target)) for f in forces] == [((13,), (14,))]
+
+    @pytest.mark.parametrize("k", [12, 13, 31])
+    def test_cap_bounds_subsets_looked_at(self, k):
+        g, black = _private_targets(k), (1 << k) - 1
+        if k <= 12:
+            assert len(find_forces(g, black)) == 2**k - 1  # a set at the cap is never refused
+        else:
+            with pytest.raises(SearchBoundExceededError):
+                find_forces(g, black)
+        forces = find_forces(g, black, allow_truncation=True)
+        assert len(forces) <= 2**12 - 1
+        size = forces[-1].source.bit_count()
+        assert len(forces) == sum(comb(k, s) for s in range(1, size + 1))
+
+    def test_black_sets_within_cap_never_refused(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            g = random_digraph(rng, n_min=2, n_max=62, edge_prob=0.1, with_leaders=False)
+            cap = int(rng.integers(1, 6))
+            size = int(rng.integers(1, min(cap, g.n) + 1))
+            black = sum(1 << int(v) for v in rng.choice(g.n, size=size, replace=False))
+            find_forces(g, black, config=SearchConfig(max_source_cap=cap))
+
+    def test_matches_all_subsets_reference(self):
+        rng = np.random.default_rng(32)
+        for trial in range(500):
+            g = random_digraph(rng, n_max=9, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            max_source = (None, None, 1, 2, 3)[trial % 5]
+            if trial % 3:
+                got = find_forces(g, black, max_source)
+                want = all_subsets_forces(g, black, max_source)
+            else:
+                cap = int(rng.integers(2, 7))
+                config = SearchConfig(max_source_cap=cap)
+                got = find_forces(g, black, max_source, config, allow_truncation=True)
+                want = all_subsets_forces(g, black, _fitting_size(g, black, max_source, cap))
+            assert got == want
 
     def test_small_cap_config(self):
         g = load_fig("fig8")
@@ -113,12 +182,18 @@ class TestGreedyDerivation:
         assert trace.final == g.full_mask
 
     def test_truncation_flagged(self):
-        n = 14
-        edges = tuple((t, t + 1, 0) for t in range(n - 1))
-        g = ColoredDigraph(n=n, edges=edges, colors=("c1",))
-        trace = derived_set_greedy(g, labels(*range(1, n)))
+        g = load_fig("fig8")
+        trace = derived_set_greedy(
+            g, labels(1, 2, 3, 4, 5), config=SearchConfig(max_source_cap=3)
+        )
         assert trace.truncated
-        assert trace.final == g.full_mask  # single-vertex chain forces still fire
+        assert [members1(f.source) for f in trace.steps] == [(5,)]
+
+    def test_path_not_truncated(self):
+        g = _path(14)
+        trace = derived_set_greedy(g, labels(*range(1, 14)))
+        assert not trace.truncated
+        assert trace.final == g.full_mask
 
 
 class TestZeroForcingSet:
