@@ -18,7 +18,6 @@ from .bipartite import (
     SizeMismatchError,
     enumerate_matchings,
     equivalence_classes,
-    nonsingular_via_polynomial,
     pattern_nonsingular,
     symbolic_det,
 )
@@ -38,7 +37,6 @@ from .forcing import (
     Force,
     SearchBoundExceededError,
     SearchConfig,
-    classic_derived_set,
     derived_set_greedy,
     find_forces,
     is_color_perfect,
@@ -73,5 +71,3 @@ from .oracle import (
     weighted_adjacency,
     zero_extension_derived_set,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,22 +1,23 @@
 """Exact combinatorics on colored bipartite graphs.
 
-Everything here is exact integer work: perfect matchings with permutation
-signs, their grouping into equal-spectrum classes, and a symbolic
-determinant of the pattern matrix kept as an integer-coefficient monomial
-map.  The nonsingularity test asks for exactly one class with nonzero
-signature; the symbolic determinant provides an independent route to the
-same verdict (a polynomial that survives as a single monomial cannot
-vanish at nonzero values, while two or more monomials always admit a
-nonzero complex root).
+Everything here is exact integer work.  The production route is the
+symbolic determinant of the pattern matrix, kept as an integer-coefficient
+monomial map and computed by subset dynamic programming: a pattern is
+nonsingular iff that polynomial is a single monomial (one that survives
+alone cannot vanish at nonzero values, while two or more always admit a
+nonzero complex root), and its coefficient is the certifying class
+signature.  Perfect matchings with permutation signs, grouped into
+equal-spectrum classes, are the independent route to the same facts: each
+class is one monomial and its signature is that monomial's coefficient.
+The ``bipartite`` command prints them, and the tests check the determinant
+against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 
 class SizeMismatchError(ValueError):
@@ -24,7 +25,7 @@ class SizeMismatchError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Matching enumeration refused beyond the desk-scale size cap."""
+    """Exact slice work refused beyond the desk-scale size cap."""
 
 
 ENUMERATION_CAP = 12
@@ -70,23 +71,6 @@ class ColoredBipartite:
 
     def color_lookup(self) -> dict[tuple[int, int], int]:
         return {(xi, yi): c for xi, yi, c in self.edges}
-
-
-def standalone_bipartite(
-    t: int,
-    edges: Iterable[tuple[int, int, int]],
-    n_colors: int,
-    names: Sequence[str] | None = None,
-) -> ColoredBipartite:
-    """Square t-by-t bipartite graph not derived from a digraph."""
-    names = tuple(names) if names else tuple(f"c{i + 1}" for i in range(n_colors))
-    return ColoredBipartite(
-        x_vertices=tuple(range(t)),
-        y_vertices=tuple(range(t, 2 * t)),
-        edges=tuple(edges),
-        colors=names,
-        color_map=tuple(range(n_colors)),
-    )
 
 
 @dataclass(frozen=True)
@@ -165,6 +149,16 @@ def _permutation_sign(assignment: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _square_size(b: ColoredBipartite, work: str) -> int:
+    """Side size of a square slice within ``ENUMERATION_CAP``."""
+    s, t = b.size
+    if s != t:
+        raise SizeMismatchError(f"|X|={s} but |Y|={t}")
+    if t > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{work} capped at {ENUMERATION_CAP}, got {t}")
+    return t
+
+
 def enumerate_matchings(b: ColoredBipartite) -> tuple[Matching, ...]:
     """All perfect matchings, in lexicographic order of their assignment.
 
@@ -172,11 +166,7 @@ def enumerate_matchings(b: ColoredBipartite) -> tuple[Matching, ...]:
     union of remaining candidate y's must be large enough) prunes dead
     branches early.
     """
-    s, t = b.size
-    if s != t:
-        raise SizeMismatchError(f"|X|={s} but |Y|={t}")
-    if t > ENUMERATION_CAP:
-        raise EnumerationCapError(f"matching enumeration capped at {ENUMERATION_CAP}, got {t}")
+    t = _square_size(b, "matching enumeration")
     adjacency = b.adjacency()
     colors = b.color_lookup()
     n_colors = len(b.colors)
@@ -230,129 +220,68 @@ def equivalence_classes(matchings: Sequence[Matching]) -> tuple[MatchingClass, .
     )
 
 
+def symbolic_det(b: ColoredBipartite) -> DetPolynomial:
+    """Determinant of the pattern matrix, expanded over the color variables.
+
+    Subset dynamic programming over the X rows in index order: each state
+    maps the set of Y columns used so far to the polynomial summed over all
+    partial assignments that use them.  Assigning row x to column y passes
+    over the columns above y that earlier rows took, one inversion each, so
+    the sign flips when their count is odd.  Exponent vectors are packed
+    into one integer (``width`` bits per color, enough for degree ``t``)
+    while the DP runs, and zero coefficients are dropped at every layer.
+    That is O(2^t * t) polynomial steps, where a row expansion takes t!.
+    """
+    t = _square_size(b, "symbolic determinant")
+    n_colors = len(b.colors)
+    width = t.bit_length()
+    row_edges: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+    for xi, yi, c in b.edges:
+        row_edges[xi].append((yi, 1 << width * c))
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    for edges in row_edges:
+        nxt: dict[int, dict[int, int]] = {}
+        for used, poly in layer.items():
+            for yi, step in edges:
+                if used >> yi & 1:
+                    continue
+                sign = -1 if (used >> yi).bit_count() & 1 else 1
+                acc = nxt.setdefault(used | 1 << yi, {})
+                for key, coeff in poly.items():
+                    acc[key + step] = acc.get(key + step, 0) + sign * coeff
+        layer = {}
+        for used, poly in nxt.items():
+            poly = {key: coeff for key, coeff in poly.items() if coeff}
+            if poly:
+                layer[used] = poly
+    field = (1 << width) - 1
+    terms = sorted(
+        (tuple(key >> width * c & field for c in range(n_colors)), coeff)
+        for poly in layer.values()
+        for key, coeff in poly.items()
+    )
+    return DetPolynomial(n_colors=n_colors, terms=tuple(terms))
+
+
 @lru_cache(maxsize=1 << 16)
-def _nonsingularity(b: ColoredBipartite) -> tuple[bool, int | None]:
-    classes = equivalence_classes(enumerate_matchings(b))
-    nonzero = [c for c in classes if c.signature != 0]
-    if classes and len(nonzero) == 1:
-        return True, nonzero[0].signature
-    return False, None
+def _nonsingularity(b: ColoredBipartite) -> int | None:
+    """The determinant's coefficient when it is a single monomial, else None
+    (stored coefficients are never zero)."""
+    terms = symbolic_det(b).terms
+    return terms[0][1] if len(terms) == 1 else None
 
 
 def pattern_nonsingular(b: ColoredBipartite) -> bool:
     """Whether every matrix with this colored zero pattern is nonsingular.
 
-    True iff at least one perfect matching exists and exactly one
-    equivalence class of perfect matchings has nonzero signature.
+    True iff the symbolic determinant is a single monomial, that is, iff
+    exactly one equal-spectrum class of perfect matchings has a nonzero
+    signature.
     """
-    return _nonsingularity(b)[0]
+    return _nonsingularity(b) is not None
 
 
 def certifying_signature(b: ColoredBipartite) -> int | None:
-    """The unique nonzero class signature, or None when not nonsingular."""
-    return _nonsingularity(b)[1]
-
-
-def symbolic_det(b: ColoredBipartite) -> DetPolynomial:
-    """Determinant of the pattern matrix, expanded over the color variables.
-
-    Row-by-row expansion with explicit sign tracking; independent of the
-    matching enumerator above so the two can check each other.
-    """
-    s, t = b.size
-    if s != t:
-        raise SizeMismatchError(f"|X|={s} but |Y|={t}")
-    if t > ENUMERATION_CAP:
-        raise EnumerationCapError(f"determinant expansion capped at {ENUMERATION_CAP}, got {t}")
-    # entry[row y][col x] = local color, or -1 where the pattern is zero
-    entry = [[-1] * t for _ in range(t)]
-    for xi, yi, c in b.edges:
-        entry[yi][xi] = c
-    n_colors = len(b.colors)
-    acc: dict[tuple[int, ...], int] = {}
-    exponents = [0] * n_colors
-    perm: list[int] = []
-
-    def expand(row: int, used_cols: int) -> None:
-        if row == t:
-            key = tuple(exponents)
-            acc[key] = acc.get(key, 0) + _permutation_sign(perm)
-            return
-        for col in range(t):
-            c = entry[row][col]
-            if c < 0 or used_cols >> col & 1:
-                continue
-            exponents[c] += 1
-            perm.append(col)
-            expand(row + 1, used_cols | 1 << col)
-            perm.pop()
-            exponents[c] -= 1
-
-    expand(0, 0)
-    terms = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-    return DetPolynomial(n_colors=n_colors, terms=terms)
-
-
-def nonsingular_via_polynomial(p: DetPolynomial) -> bool:
-    """Nonsingularity read off the symbolic determinant: one surviving monomial."""
-    return len(p.terms) == 1
-
-
-def pattern_matrix(b: ColoredBipartite, values: Sequence[complex]) -> np.ndarray:
-    """Realize the pattern matrix at the given per-color values (rows = Y)."""
-    s, t = b.size
-    mat = np.zeros((t, s), dtype=complex)
-    for xi, yi, c in b.edges:
-        mat[yi, xi] = values[c]
-    return mat
-
-
-def sample_color_values(n_colors: int, rng: np.random.Generator) -> np.ndarray:
-    """Nonzero complex samples: unit-magnitude phases times moduli in [0.5, 2]."""
-    magnitudes = rng.uniform(0.5, 2.0, size=n_colors)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_colors)
-    return magnitudes * np.exp(1j * phases)
-
-
-def find_singular_realization(
-    p: DetPolynomial, rng: np.random.Generator, restarts: int = 50
-) -> np.ndarray | None:
-    """Search for nonzero complex color values where the determinant vanishes.
-
-    Only meaningful when the polynomial has at least two monomials; picks a
-    variable whose exponent varies between monomials, samples the rest, and
-    solves the resulting univariate polynomial for a nonzero root.  Best
-    effort: returns None if every restart degenerates.
-    """
-    if len(p.terms) < 2:
-        return None
-    pivot = next(
-        i
-        for i in range(p.n_colors)
-        if len({exp[i] for exp, _ in p.terms}) > 1
-    )
-    max_power = max(exp[pivot] for exp, _ in p.terms)
-    for _ in range(restarts):
-        values = sample_color_values(p.n_colors, rng)
-        coeffs = np.zeros(max_power + 1, dtype=complex)
-        for exponents, coeff in p.terms:
-            term: complex = coeff
-            for i, e in enumerate(exponents):
-                if e and i != pivot:
-                    term *= values[i] ** e
-            coeffs[exponents[pivot]] += term
-        polynomial = np.polynomial.Polynomial(coeffs)
-        if np.allclose(polynomial.coef, 0.0, atol=1e-12):
-            continue
-        roots = polynomial.roots()
-        nonzero = [r for r in roots if abs(r) > 1e-8]
-        if not nonzero:
-            continue
-        values[pivot] = min(nonzero, key=abs)
-        scale = max(
-            abs(coeff) * float(np.prod([abs(values[i]) ** e for i, e in enumerate(exp) if e] or [1.0]))
-            for exp, coeff in p.terms
-        )
-        if abs(p.evaluate(values)) < 1e-7 * max(scale, 1.0):
-            return values
-    return None
+    """The unique nonzero class signature (the determinant's only
+    coefficient), or None when not nonsingular."""
+    return _nonsingularity(b)

@@ -4,10 +4,10 @@ Subcommands: validate, bipartite, forcing, eeo-derive, oracle, check,
 export-dot.  ``check`` exits 0 for CONTROLLABLE, 2 for UNDECIDED, 1 for
 input errors; every command exits 3 when the input needs more exhaustive
 search than a cap allows (force-source subsets past
-``SearchConfig.max_source_cap``, or a slice too large for matching
-enumeration); a soundness violation (positive certificate contradicted by
-the oracle) aborts with exit code 70.  Set COLORED_SSC_LOG=debug for
-trace-level logging.
+``SearchConfig.max_source_cap``, or a slice side past
+``bipartite.ENUMERATION_CAP``); a soundness violation (positive
+certificate contradicted by the oracle) aborts with exit code 70.  Set
+COLORED_SSC_LOG=debug for trace-level logging.
 """
 
 from __future__ import annotations
@@ -71,8 +71,12 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _parse_labels(text: str) -> int:
-    return vset_from_labels(int(part) for part in text.split(",") if part)
+def _parse_labels(text: str, n: int, flag: str) -> int:
+    labels = [int(part) for part in text.split(",") if part]
+    outside = [v for v in labels if not 1 <= v <= n]
+    if outside:
+        raise ValueError(f"{flag} names vertices outside 1..{n}: {outside}")
+    return vset_from_labels(labels)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--greedy", action="store_true", help="greedy derivation, no backtracking")
     p.add_argument("--max-source", type=int, default=None)
-    p.add_argument("--policy", choices=("first", "small-first"), default="first")
 
     p = sub.add_parser("eeo-derive", help="edge-operations derivation procedure")
     _common_flags(p)
@@ -138,8 +141,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bipartite(args) -> int:
     g = load_graph(args.path)
-    source = _parse_labels(args.x)
-    black = _parse_labels(args.coloring) if args.coloring else source
+    source = _parse_labels(args.x, g.n, "--x")
+    if not source:
+        raise ValueError("--x names no vertex")
+    black = _parse_labels(args.coloring, g.n, "--coloring") if args.coloring else source
     b = induced_bipartite(g, source, black)
     matchings = enumerate_matchings(b)
     classes = equivalence_classes(matchings)
@@ -185,7 +190,7 @@ def _cmd_forcing(args) -> int:
         raise NoLeadersError("forcing analysis requires a leader set in the file")
     black = g.leader_mask
     if args.greedy:
-        trace = derived_set_greedy(g, black, policy=args.policy, max_source=args.max_source)
+        trace = derived_set_greedy(g, black, max_source=args.max_source)
         payload = {"mode": "greedy", "zero_forcing": trace.final == g.full_mask}
         payload.update(derivation_to_jsonable(trace))
         lines = [f"greedy derived set: {list(vset_labels(trace.final))}"]

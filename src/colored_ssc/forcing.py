@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
 
 from .bipartite import certifying_signature
 from .graph import (
@@ -188,30 +187,20 @@ def find_forces(
     return forces
 
 
-Policy = Callable[[Sequence[Force]], Force]
-
-_POLICIES: dict[str, Policy] = {
-    # find_forces already orders by increasing source size
-    "first": lambda forces: forces[0],
-    "small-first": lambda forces: forces[0],
-    "large-first": lambda forces: max(forces, key=lambda f: (f.source.bit_count(), -f.source)),
-}
-
-
 def derived_set_greedy(
     g: ColoredDigraph,
     black: int,
-    policy: str | Policy = "first",
     max_source: int | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> DerivationTrace:
-    """Apply forces per policy until none remain; no backtracking.
+    """Apply the first force of each step until none remain; no backtracking.
 
-    A step whose candidate subsets pass the configured budget only looks
-    at sources of the largest size that fits, and the returned trace is
+    ``find_forces`` orders sources smallest first, so each step takes a
+    smallest source, lexicographically first within its size.  A step
+    whose candidate subsets pass the configured budget only looks at
+    sources of the largest size that fits, and the returned trace is
     flagged as truncated.
     """
-    choose = _POLICIES[policy] if isinstance(policy, str) else policy
     initial = black
     steps: list[Force] = []
     truncated = False
@@ -220,9 +209,8 @@ def derived_set_greedy(
         forces = find_forces(g, black, max_source, config, allow_truncation=True)
         if not forces:
             break
-        force = choose(forces)
-        steps.append(force)
-        black |= force.target
+        steps.append(forces[0])
+        black |= forces[0].target
     return DerivationTrace(initial=initial, steps=tuple(steps), final=black, truncated=truncated)
 
 
@@ -291,20 +279,3 @@ def derivation_outcomes(
 ) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
     """Witness trace to V if reachable, else all distinct stuck derived sets."""
     return _search(g, black, max_source, config, collect_stuck=True)
-
-
-def classic_derived_set(g: ColoredDigraph, black: int) -> int:
-    """Derived set under the single-vertex rule, ignoring colors.
-
-    A black vertex with exactly one white out-neighbor forces it; the
-    fixpoint is independent of application order.
-    """
-    while True:
-        forced = 0
-        for v in iter_vset(black):
-            white = g.out_masks[v] & ~black
-            if white and white.bit_count() == 1:
-                forced |= white
-        if not forced:
-            return black
-        black |= forced

@@ -1,16 +1,22 @@
 """Shared helpers: label conversions, corpus access, random generators,
-and the all-subsets reference for force enumeration."""
+and the reference routes the production code is checked against (all-subsets
+force enumeration, matching classes, the classic forcing rule, numeric
+realizations of slice patterns)."""
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from colored_ssc import (
     ColoredDigraph,
+    DetPolynomial,
     Force,
+    enumerate_matchings,
+    equivalence_classes,
     is_color_perfect,
     vset,
     vset_from_labels,
@@ -18,8 +24,9 @@ from colored_ssc import (
     vset_members,
     white_out_neighbors,
 )
-from colored_ssc.bipartite import ColoredBipartite, standalone_bipartite
+from colored_ssc.bipartite import ColoredBipartite
 from colored_ssc.corpus import load as load_fig
+from colored_ssc.graph import iter_vset
 
 
 def labels(*vertices: int) -> int:
@@ -91,6 +98,23 @@ def all_subsets_forces(
     return forces
 
 
+def standalone_bipartite(
+    t: int,
+    edges: Iterable[tuple[int, int, int]],
+    n_colors: int,
+    names: Sequence[str] | None = None,
+) -> ColoredBipartite:
+    """Square t-by-t bipartite graph not derived from a digraph."""
+    names = tuple(names) if names else tuple(f"c{i + 1}" for i in range(n_colors))
+    return ColoredBipartite(
+        x_vertices=tuple(range(t)),
+        y_vertices=tuple(range(t, 2 * t)),
+        edges=tuple(edges),
+        colors=names,
+        color_map=tuple(range(n_colors)),
+    )
+
+
 def random_bipartite(
     rng: np.random.Generator,
     t_max: int = 5,
@@ -107,6 +131,93 @@ def random_bipartite(
         if rng.random() < edge_prob
     ]
     return standalone_bipartite(t, edges, k)
+
+
+def class_term_map(b: ColoredBipartite) -> dict[tuple[int, ...], int]:
+    """The determinant's terms by the independent route: the spectrum and
+    signature of every matching class whose signature is nonzero."""
+    return {
+        c.spectrum: c.signature
+        for c in equivalence_classes(enumerate_matchings(b))
+        if c.signature
+    }
+
+
+def classic_derived_set(g: ColoredDigraph, black: int) -> int:
+    """Derived set under the single-vertex rule, ignoring colors.
+
+    A black vertex with exactly one white out-neighbor forces it; the
+    fixpoint is independent of application order.
+    """
+    while True:
+        forced = 0
+        for v in iter_vset(black):
+            white = g.out_masks[v] & ~black
+            if white and white.bit_count() == 1:
+                forced |= white
+        if not forced:
+            return black
+        black |= forced
+
+
+def pattern_matrix(b: ColoredBipartite, values: Sequence[complex]) -> np.ndarray:
+    """Realize the pattern matrix at the given per-color values (rows = Y)."""
+    s, t = b.size
+    mat = np.zeros((t, s), dtype=complex)
+    for xi, yi, c in b.edges:
+        mat[yi, xi] = values[c]
+    return mat
+
+
+def sample_color_values(n_colors: int, rng: np.random.Generator) -> np.ndarray:
+    """Nonzero complex samples: unit-magnitude phases times moduli in [0.5, 2]."""
+    magnitudes = rng.uniform(0.5, 2.0, size=n_colors)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_colors)
+    return magnitudes * np.exp(1j * phases)
+
+
+def find_singular_realization(
+    p: DetPolynomial, rng: np.random.Generator, restarts: int = 50
+) -> np.ndarray | None:
+    """Search for nonzero complex color values where the determinant vanishes.
+
+    Only meaningful when the polynomial has at least two monomials; picks a
+    variable whose exponent varies between monomials, samples the rest, and
+    solves the resulting univariate polynomial for a nonzero root.  Best
+    effort: returns None if every restart degenerates.
+    """
+    if len(p.terms) < 2:
+        return None
+    pivot = next(
+        i
+        for i in range(p.n_colors)
+        if len({exp[i] for exp, _ in p.terms}) > 1
+    )
+    max_power = max(exp[pivot] for exp, _ in p.terms)
+    for _ in range(restarts):
+        values = sample_color_values(p.n_colors, rng)
+        coeffs = np.zeros(max_power + 1, dtype=complex)
+        for exponents, coeff in p.terms:
+            term: complex = coeff
+            for i, e in enumerate(exponents):
+                if e and i != pivot:
+                    term *= values[i] ** e
+            coeffs[exponents[pivot]] += term
+        polynomial = np.polynomial.Polynomial(coeffs)
+        if np.allclose(polynomial.coef, 0.0, atol=1e-12):
+            continue
+        roots = polynomial.roots()
+        nonzero = [r for r in roots if abs(r) > 1e-8]
+        if not nonzero:
+            continue
+        values[pivot] = min(nonzero, key=abs)
+        scale = max(
+            abs(coeff) * float(np.prod([abs(values[i]) ** e for i, e in enumerate(exp) if e] or [1.0]))
+            for exp, coeff in p.terms
+        )
+        if abs(p.evaluate(values)) < 1e-7 * max(scale, 1.0):
+            return values
+    return None
 
 
 # One line per acceptance criterion, printed after the run so the verdicts

@@ -16,14 +16,12 @@ from colored_ssc import (
     analyze,
     apply_remove_edges,
     apply_turn_color,
-    classic_derived_set,
     derived_set_greedy,
     eeo_derived_set,
     enumerate_matchings,
     equivalence_classes,
     induced_bipartite,
     is_zero_forcing_set,
-    nonsingular_via_polynomial,
     pattern_nonsingular,
     sample_realization,
     sampled_verdict,
@@ -32,14 +30,23 @@ from colored_ssc import (
     weighted_adjacency,
     zero_extension_derived_set,
 )
-from colored_ssc.bipartite import pattern_matrix, sample_color_values
 from colored_ssc.edgeops import EeoTrace, RemoveEdges, apply_op
 from colored_ssc.forcing import DerivationTrace
 from colored_ssc.graph import ColoredDigraph
 from colored_ssc.oracle import SystemMatrices, kalman_report
 from colored_ssc.corpus import load as load_fig
 
-from conftest import labels, members1, random_bipartite, random_digraph, record_criterion
+from conftest import (
+    class_term_map,
+    classic_derived_set,
+    labels,
+    members1,
+    pattern_matrix,
+    random_bipartite,
+    random_digraph,
+    record_criterion,
+    sample_color_values,
+)
 
 PAIRED_REALIZATIONS = 100
 
@@ -117,7 +124,7 @@ def test_criterion_5_fig7_eeo():
 @check("criterion 6: fig8 greedy sticks but backtracking finds the witness")
 def test_criterion_6_fig8_branches():
     g = load_fig("fig8")
-    greedy = derived_set_greedy(g, labels(1, 2, 3, 4, 5), policy="small-first")
+    greedy = derived_set_greedy(g, labels(1, 2, 3, 4, 5))
     assert members1(greedy.final) == (1, 2, 3, 4, 5, 6)
     ok, witness = is_zero_forcing_set(g, labels(1, 2, 3, 4, 5))
     assert ok
@@ -133,7 +140,7 @@ def test_criterion_7_route_agreement():
     for _ in range(1000):
         b = random_bipartite(rng, t_max=5, max_colors=3)
         det = symbolic_det(b)
-        assert pattern_nonsingular(b) == nonsingular_via_polynomial(det)
+        assert pattern_nonsingular(b) == (len(class_term_map(b)) == 1)
         values = sample_color_values(len(b.colors), rng)
         direct = np.linalg.det(pattern_matrix(b, values))
         via_poly = det.evaluate(list(values))
@@ -212,7 +219,7 @@ def _certificate_steps():
         ops.append((trace7.graphs[i], op.context, apply_op(trace7.graphs[i], op)))
 
     g8 = load_fig("fig8")
-    greedy8 = derived_set_greedy(g8, labels(1, 2, 3, 4, 5), policy="small-first")
+    greedy8 = derived_set_greedy(g8, labels(1, 2, 3, 4, 5))
     forces += list(_forces_with_context(g8, greedy8))
     _, witness8 = is_zero_forcing_set(g8, labels(1, 2, 3, 4, 5))
     forces += list(_forces_with_context(g8, witness8))

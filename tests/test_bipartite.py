@@ -11,22 +11,25 @@ from colored_ssc import (
     enumerate_matchings,
     equivalence_classes,
     induced_bipartite,
-    nonsingular_via_polynomial,
     pattern_nonsingular,
     symbolic_det,
 )
 from colored_ssc.bipartite import (
-    DetPolynomial,
     EnumerationCapError,
     SizeMismatchError,
-    find_singular_realization,
-    pattern_matrix,
-    sample_color_values,
-    standalone_bipartite,
+    certifying_signature,
 )
 from colored_ssc.corpus import load as load_fig
 
-from conftest import labels, random_bipartite
+from conftest import (
+    class_term_map,
+    find_singular_realization,
+    labels,
+    pattern_matrix,
+    random_bipartite,
+    sample_color_values,
+    standalone_bipartite,
+)
 
 
 @pytest.fixture
@@ -125,6 +128,12 @@ class TestSymbolicDet:
         det = symbolic_det(standalone_bipartite(2, [(0, 0, 0), (1, 0, 0)], 1))
         assert det.is_zero()
 
+    def test_enumeration_cap(self):
+        t = 13
+        b = standalone_bipartite(t, [(i, i, 0) for i in range(t)], 1)
+        with pytest.raises(EnumerationCapError):
+            symbolic_det(b)
+
     def test_monomial_degree_is_side_size(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
@@ -136,15 +145,24 @@ class TestSymbolicDet:
 
 
 class TestPolynomialVerdict:
+    """The verdict and the signature are read off the symbolic determinant."""
+
     def test_single_monomial(self, fig3_slice):
-        assert nonsingular_via_polynomial(symbolic_det(fig3_slice))
+        ((_, coeff),) = symbolic_det(fig3_slice).terms
+        assert pattern_nonsingular(fig3_slice)
+        assert certifying_signature(fig3_slice) == coeff == -1
 
     def test_zero_polynomial(self):
-        assert not nonsingular_via_polynomial(DetPolynomial(n_colors=1, terms=()))
+        b = standalone_bipartite(2, [(0, 0, 0), (1, 0, 0)], 1)
+        assert symbolic_det(b).is_zero()
+        assert certifying_signature(b) is None
 
     def test_difference_of_squares(self):
-        p = DetPolynomial(n_colors=2, terms=(((2, 0), 1), ((0, 2), -1)))
-        assert not nonsingular_via_polynomial(p)
+        # [[c1, c2], [c2, c1]] has determinant c1^2 - c2^2
+        b = standalone_bipartite(2, [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)], 2)
+        p = symbolic_det(b)
+        assert p.term_map == {(2, 0): 1, (0, 2): -1}
+        assert not pattern_nonsingular(b) and certifying_signature(b) is None
         assert p.evaluate([1.0, 1.0]) == 0
 
 
@@ -152,9 +170,12 @@ class TestAgainstRealizations:
     def test_two_routes_agree_and_dets_match(self):
         rng = np.random.default_rng(101)
         for _ in range(150):
-            b = random_bipartite(rng)
+            b = random_bipartite(rng, t_max=7, max_colors=4)
             det = symbolic_det(b)
-            assert pattern_nonsingular(b) == nonsingular_via_polynomial(det)
+            assert det.term_map == class_term_map(b)
+            single = det.terms[0][1] if len(det.terms) == 1 else None
+            assert certifying_signature(b) == single
+            assert pattern_nonsingular(b) == (single is not None)
             values = sample_color_values(len(b.colors), rng)
             direct = np.linalg.det(pattern_matrix(b, values))
             via_poly = det.evaluate(list(values))

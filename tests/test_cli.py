@@ -91,8 +91,7 @@ class TestForcing:
 
     def test_greedy_policy_flag(self, capsys):
         code, out, _ = run_cli(
-            capsys, "forcing", str(fig_path("fig8")), "--greedy",
-            "--policy", "small-first", "--json",
+            capsys, "forcing", str(fig_path("fig8")), "--greedy", "--json"
         )
         assert code == EXIT_OK
         report = json.loads(out)
@@ -140,6 +139,24 @@ class TestBipartite:
         assert report["nonsingular"] is True
         assert [c["signature"] for c in report["classes"]] == [0, -1]
         assert report["determinant"] == "-1*c2^2*c3"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--x", "1,99"),
+            ("--x", "0"),
+            ("--x", "-1"),
+            ("--x", ","),
+            ("--x", ""),
+            ("--x", "1,2,3", "--coloring", "1,2,3,7"),
+            ("--x", "1", "--coloring", "0,1"),
+        ],
+    )
+    def test_bad_labels_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bipartite", str(fig_path("fig3")), *flags)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOracleCommand:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from colored_ssc import (
     ColoredDigraph,
-    classic_derived_set,
     derived_set_greedy,
     find_forces,
     is_balancing_set,
@@ -24,7 +23,7 @@ from colored_ssc import (
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.forcing import SearchBoundExceededError, SearchConfig
 
-from conftest import all_subsets_forces, labels, members1, random_digraph
+from conftest import all_subsets_forces, classic_derived_set, labels, members1, random_digraph
 
 
 def _path(n: int) -> ColoredDigraph:
@@ -173,13 +172,8 @@ class TestGreedyDerivation:
 
     def test_fig8_smallest_first_gets_stuck(self):
         g = load_fig("fig8")
-        trace = derived_set_greedy(g, labels(1, 2, 3, 4, 5), policy="small-first")
+        trace = derived_set_greedy(g, labels(1, 2, 3, 4, 5))
         assert members1(trace.final) == (1, 2, 3, 4, 5, 6)
-
-    def test_fig8_largest_first_completes(self):
-        g = load_fig("fig8")
-        trace = derived_set_greedy(g, labels(1, 2, 3, 4, 5), policy="large-first")
-        assert trace.final == g.full_mask
 
     def test_truncation_flagged(self):
         g = load_fig("fig8")
