@@ -1,7 +1,8 @@
 """Verdict pipeline shared by the CLI and the test corpus runner.
 
-The graph conditions are sufficient only, so a graph that passes neither
-the zero-forcing test nor the edge-operation procedure is reported as
+One search decides the verdict: the edge-operation procedure, whose root
+stage is the zero-forcing test of the leader set.  The graph conditions
+are sufficient only, so a graph that passes neither is reported as
 UNDECIDED, never as uncontrollable.  A numerical counterexample against a
 positive graph verdict is a soundness violation and raises instead of
 being reported.
@@ -12,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .edgeops import EdgeOp, EeoTrace, RemoveEdges, TurnColor, eeo_derived_set
-from .forcing import (
-    DEFAULT_CONFIG,
-    DerivationTrace,
-    SearchConfig,
-    is_zero_forcing_set,
-)
+from .forcing import DEFAULT_CONFIG, DerivationTrace, SearchConfig
+# Unused here; kept bound because perfbench/tracing.py wraps this name.
+from .forcing import is_zero_forcing_set  # noqa: F401
 from .graph import ColoredDigraph, serialize, vset_labels
 from .oracle import NoLeadersError, OracleVerdict, sampled_verdict
 
@@ -104,37 +102,37 @@ def analyze(
     use_oracle: bool = False,
     trials: int = 100,
     seed: int = 0,
-    max_source: int | None = None,
     budget: int | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> AnalysisReport:
-    """Zero-forcing test first, edge-operation procedure second.
+    """One edge-operation search from the leader set decides the verdict.
 
+    Its root stage is the zero-forcing test, so a complete trace without
+    edge operations is a ZFS verdict, its one derivation the witness.
     With ``use_oracle`` a sampled balancing check is attached; a sampled
     counterexample against a CONTROLLABLE verdict raises SoundnessError.
     """
     if not g.leaders:
         raise NoLeadersError("analysis requires a leader set")
     leader_mask = g.leader_mask
-    ok, witness = is_zero_forcing_set(g, leader_mask, max_source, config)
-    eeo_trace = None
-    if ok:
+    trace = eeo_derived_set(g, leader_mask, budget, config)
+    zfs_trace, eeo_trace = None, trace
+    if trace.complete and not trace.ops:
         verdict, method = VERDICT_CONTROLLABLE, "ZFS"
-        if not witness.replay_ok(g):
+        zfs_trace, eeo_trace = trace.derivations[0], None
+        if not zfs_trace.replay_ok(g):
             raise SoundnessError(f"graph {graph_id or '<memory>'}: forcing witness does not replay")
+    elif trace.complete:
+        verdict, method = VERDICT_CONTROLLABLE, "EEO"
+        if not trace.replay_ok():
+            raise SoundnessError(f"graph {graph_id or '<memory>'}: derivation trace does not replay")
     else:
-        eeo_trace = eeo_derived_set(g, leader_mask, budget, config)
-        if eeo_trace.complete:
-            verdict, method = VERDICT_CONTROLLABLE, "EEO"
-            if not eeo_trace.replay_ok():
-                raise SoundnessError(f"graph {graph_id or '<memory>'}: derivation trace does not replay")
-        else:
-            verdict, method = VERDICT_UNDECIDED, "NONE"
+        verdict, method = VERDICT_UNDECIDED, "NONE"
     report = AnalysisReport(
         graph_id=graph_id,
         verdict=verdict,
         method=method,
-        zfs_trace=witness,
+        zfs_trace=zfs_trace,
         eeo_trace=eeo_trace,
     )
     if use_oracle:

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: validate, bipartite, forcing, eeo-derive, oracle, check,
-export-dot.  ``check`` exits 0 for CONTROLLABLE, 2 for UNDECIDED, 1 for
-input errors; every command exits 3 when the input needs more exhaustive
-search than a cap allows (force-source subsets past
-``SearchConfig.max_source_cap``, or a slice side past
-``bipartite.ENUMERATION_CAP``); a soundness violation (positive
+export-dot.  ``check`` runs one search, the edge-operation procedure whose
+root stage is the zero-forcing test, and exits 0 for CONTROLLABLE, 2 for
+UNDECIDED.  Every command exits 1 for input errors, usage errors included;
+3 when the input needs more exhaustive search than a cap allows
+(force-source subsets past ``SearchConfig.max_source_cap``, or a slice
+side past ``bipartite.ENUMERATION_CAP``); a soundness violation (positive
 certificate contradicted by the oracle) aborts with exit code 70.  Set
 COLORED_SSC_LOG=debug for trace-level logging.
 """
@@ -65,6 +66,13 @@ class UnknownStageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse exits 2 on a usage error, which would read as UNDECIDED
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", help="graph JSON file")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -80,7 +88,7 @@ def _parse_labels(text: str, n: int, flag: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colored-ssc",
         description="Controllability analysis for colored leader-follower networks",
     )
@@ -114,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--oracle", action="store_true", help="attach a sampled cross-check")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-source", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("export-dot", help="DOT rendering of the graph or a derived stage")
@@ -268,7 +275,6 @@ def _cmd_check(args) -> int:
         use_oracle=args.oracle,
         trials=args.trials,
         seed=args.seed,
-        max_source=args.max_source,
         budget=args.budget,
     )
     payload = report.to_jsonable(g)

@@ -61,10 +61,6 @@ class TurnColor:
     new_color: int
     context: int
 
-    @property
-    def touched(self) -> int:
-        return 1 << self.u
-
     def describe(self, g: ColoredDigraph) -> str:
         return f"turn-color u={self.u + 1} to {g.colors[self.new_color]}"
 
@@ -76,10 +72,6 @@ class RemoveEdges:
     u: int
     v: int
     context: int
-
-    @property
-    def touched(self) -> int:
-        return 1 << self.u | 1 << self.v
 
     def describe(self, g: ColoredDigraph) -> str:
         return f"remove-edges u={self.u + 1} v={self.v + 1}"
@@ -222,15 +214,6 @@ class EeoTrace:
     def complete(self) -> bool:
         return self.final == self.graphs[0].full_mask
 
-    def stages(self):
-        """Interleaved view: derivation, op, derivation, ..., derivation."""
-        out: list[object] = []
-        for i, derivation in enumerate(self.derivations):
-            out.append(derivation)
-            if i < len(self.ops):
-                out.append(self.ops[i])
-        return out
-
     def replay_ok(self) -> bool:
         """Re-validate every forcing step and every op precondition."""
         black = self.derivations[0].initial
@@ -251,16 +234,6 @@ class EeoTrace:
         return True
 
 
-class _Budget:
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
 def eeo_derived_set(
     g: ColoredDigraph,
     black: int,
@@ -272,12 +245,13 @@ def eeo_derived_set(
     Each stage first searches force derivations; if none reaches V the
     search branches over every maximal derived set and every applicable
     operation on it, depth first, memoizing (graph, black set) states.
-    Returns the trace with the largest final black set found, preferring
-    complete ones; an exhausted node budget flags the trace instead of
-    raising.
+    The root stage is the zero-forcing test of ``black``.  Returns the
+    trace with the largest final black set found, preferring complete ones;
+    an exhausted budget of stages (the root one included) flags the trace
+    instead of raising.
     """
     limit = max(1, config.eeo_budget if budget is None else budget)
-    tally = _Budget(limit)
+    states = 0
     memo: set[tuple[ColoredDigraph, int]] = set()
     best: EeoTrace | None = None
 
@@ -293,7 +267,9 @@ def eeo_derived_set(
         derivations: tuple[DerivationTrace, ...],
         ops: tuple[EdgeOp, ...],
     ) -> EeoTrace | None:
-        if not tally.spend():
+        nonlocal states
+        states += 1
+        if states > limit:
             return None
         witness, stuck = derivation_outcomes(graph, current, config=config)
         if witness is not None:
@@ -324,6 +300,6 @@ def eeo_derived_set(
     if result is not None:
         return result
     assert best is not None
-    if tally.used > limit:
+    if states > limit:
         return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True)
     return best

@@ -119,6 +119,8 @@ def _source_domain(
     vertices.  The candidate subsets up to the size limit may number at most
     ``2**max_source_cap - 1``, the subsets of a black set at the cap.
     """
+    if black & ~g.full_mask:
+        raise ValueError("black set contains vertices outside the graph")
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
@@ -156,9 +158,15 @@ def find_forces(
     call raises :class:`SearchBoundExceededError`, or with
     ``allow_truncation`` keeps the largest source size whose subsets fit.
     """
-    if black & ~g.full_mask:
-        raise ValueError("black set contains vertices outside the graph")
     candidates, limit, _ = _source_domain(g, black, max_source, config, allow_truncation)
+    return _forces_from(g, black, candidates, limit)
+
+
+def _forces_from(
+    g: ColoredDigraph, black: int, candidates: list[tuple[int, int]], limit: int
+) -> list[Force]:
+    """The forces whose sources are subsets of ``candidates`` of at most
+    ``limit`` members, in the order :func:`find_forces` documents."""
     last = len(candidates) - 1
     forces: list[Force] = []
 
@@ -205,8 +213,9 @@ def derived_set_greedy(
     steps: list[Force] = []
     truncated = False
     while True:
-        truncated |= _source_domain(g, black, max_source, config, allow_truncation=True)[2]
-        forces = find_forces(g, black, max_source, config, allow_truncation=True)
+        candidates, limit, cut = _source_domain(g, black, max_source, config, allow_truncation=True)
+        truncated |= cut
+        forces = _forces_from(g, black, candidates, limit)
         if not forces:
             break
         steps.append(forces[0])
@@ -214,24 +223,23 @@ def derived_set_greedy(
     return DerivationTrace(initial=initial, steps=tuple(steps), final=black, truncated=truncated)
 
 
-def _search(
+def derivation_outcomes(
     g: ColoredDigraph,
     black: int,
-    max_source: int | None,
-    config: SearchConfig,
-    collect_stuck: bool,
+    max_source: int | None = None,
+    config: SearchConfig = DEFAULT_CONFIG,
 ) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
     """Backtracking search over force choices.
 
-    Returns a witness trace reaching all of V when one exists; otherwise,
-    when asked, the distinct maximal (stuck) derived sets with the first
-    trace that reached each.  Black sets proven unable to reach V are
-    memoized and never re-expanded.
+    Returns a witness trace reaching all of V when one exists (else None),
+    and the distinct maximal (stuck) derived sets met on the way, each with
+    the first trace that reached it; without a witness that is every stuck
+    set reachable from ``black``.  Black sets proven unable to reach V are
+    memoized and never re-expanded, so no stuck set is recorded twice.
     """
     full = g.full_mask
     dead: set[int] = set()
     stuck: list[DerivationTrace] = []
-    seen_stuck: set[int] = set()
     path: list[Force] = []
 
     def dfs(black: int) -> bool:
@@ -241,9 +249,7 @@ def _search(
             return False
         forces = find_forces(g, black, max_source, config)
         if not forces:
-            if collect_stuck and black not in seen_stuck:
-                seen_stuck.add(black)
-                stuck.append(DerivationTrace(initial=start, steps=tuple(path), final=black))
+            stuck.append(DerivationTrace(initial=start, steps=tuple(path), final=black))
             dead.add(black)
             return False
         for force in forces:
@@ -267,15 +273,5 @@ def is_zero_forcing_set(
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> tuple[bool, DerivationTrace | None]:
     """Whether some chronological list of forces colors every vertex black."""
-    witness, _ = _search(g, black, max_source, config, collect_stuck=False)
+    witness, _ = derivation_outcomes(g, black, max_source, config)
     return (witness is not None), witness
-
-
-def derivation_outcomes(
-    g: ColoredDigraph,
-    black: int,
-    max_source: int | None = None,
-    config: SearchConfig = DEFAULT_CONFIG,
-) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
-    """Witness trace to V if reachable, else all distinct stuck derived sets."""
-    return _search(g, black, max_source, config, collect_stuck=True)

@@ -160,9 +160,6 @@ class ColoredDigraph:
     def leader_mask(self) -> int:
         return vset(self.leaders) if self.leaders else 0
 
-    def color_name(self, color: int) -> str:
-        return self.colors[color]
-
 
 def out_neighbors(g: ColoredDigraph, v: int) -> int:
     """All out-neighbors of ``v`` as a bitmask."""
@@ -228,20 +225,27 @@ def validate(description: Mapping | str) -> ColoredDigraph:
     if isinstance(description, str):
         description = json.loads(description)
     try:
-        n = int(description["n"])
+        n = _integer(description["n"])
         colors = tuple(str(c) for c in description["colors"])
-        raw_edges = description["edges"]
+        edges = []
+        for entry in description["edges"]:
+            if len(entry) != 3:
+                raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
+            tail, head, color = (_integer(x) for x in entry)
+            edges.append((tail - 1, head - 1, color - 1))
+        leaders_raw = description.get("leaders")
+        leaders = None if leaders_raw is None else tuple(_integer(v) - 1 for v in leaders_raw)
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"missing or malformed field: {exc}") from exc
-    edges = []
-    for entry in raw_edges:
-        if len(entry) != 3:
-            raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
-        tail, head, color = (int(x) for x in entry)
-        edges.append((tail - 1, head - 1, color - 1))
-    leaders_raw = description.get("leaders")
-    leaders = tuple(int(v) - 1 for v in leaders_raw) if leaders_raw is not None else None
     return ColoredDigraph(n=n, edges=tuple(edges), colors=colors, leaders=leaders)
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a fractional number rather than truncating it."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise GraphFormatError(f"{value!r} is not an integer")
+    return number
 
 
 def serialize(g: ColoredDigraph) -> dict:

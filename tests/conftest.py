@@ -43,6 +43,17 @@ def fig():
     return load_fig
 
 
+# Malformed graph-file fields that validate must refuse with GraphFormatError:
+# a non-list, a non-integer, and a fractional label int() would truncate.
+MALFORMED_FIELDS = (
+    {"edges": 5},
+    {"edges": [5]},
+    {"leaders": 5},
+    {"leaders": [1, None]},
+    {"edges": [[1.7, 2, 1]]},
+)
+
+
 def random_digraph(
     rng: np.random.Generator,
     n_min: int = 2,

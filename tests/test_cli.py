@@ -10,6 +10,8 @@ from colored_ssc import serialize, validate
 from colored_ssc.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SEARCH_CAP, EXIT_UNDECIDED, main
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig, path as fig_path
 
+from conftest import MALFORMED_FIELDS
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -30,6 +32,11 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == EXIT_INPUT_ERROR
         assert "self-loop" in err
+        for fields in MALFORMED_FIELDS:
+            bad.write_text(json.dumps({"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], **fields}))
+            code, _, err = run_cli(capsys, "validate", str(bad))
+            assert code == EXIT_INPUT_ERROR
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/nonexistent.json")
@@ -77,6 +84,23 @@ class TestCheck:
         first = run_cli(capsys, "check", str(fig_path("fig8")), "--json", "--seed", "7")
         second = run_cli(capsys, "check", str(fig_path("fig8")), "--json", "--seed", "7")
         assert first == second
+
+
+class TestUsage:
+    @pytest.mark.parametrize("flags", [("--bogus",), ("--max-source", "2")])
+    def test_usage_error_is_input_error(self, capsys, flags):
+        # argparse's own exit code 2 would read as UNDECIDED
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(fig_path("fig5")), *flags])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "error: unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["check", "--help"]])
+    def test_help_and_version_exit_ok(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
 
 
 class TestForcing:

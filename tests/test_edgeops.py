@@ -15,10 +15,13 @@ from colored_ssc import (
     edges_to_white,
     eeo_derived_set,
     find_edge_ops,
+    is_zero_forcing_set,
     sample_realization,
     zero_extension_derived_set,
 )
-from colored_ssc.corpus import load as load_fig
+from colored_ssc import forcing
+from colored_ssc.analysis import analyze
+from colored_ssc.corpus import GRAPH_IDS, load as load_fig
 from colored_ssc.edgeops import (
     ColorMismatchError,
     EdgeOpError,
@@ -206,6 +209,35 @@ class TestEeoDerivation:
             black = derivation.final
             if i < len(trace.ops):
                 assert trace.ops[i].context == black
+
+
+class TestAnalyze:
+    """``analyze`` runs the edge-operation search once; its root stage is
+    the zero-forcing test of the leader set."""
+
+    def test_root_searched_once(self, monkeypatch):
+        g = load_fig("fig5")  # not zero forcing, so the search goes past the root
+        calls = []
+        original = forcing.find_forces
+
+        def counting(graph, black, *args, **kwargs):
+            calls.append((graph, black))
+            return original(graph, black, *args, **kwargs)
+
+        monkeypatch.setattr(forcing, "find_forces", counting)
+        assert analyze(g).method == "EEO"
+        assert calls.count((g, g.leader_mask)) == 1
+
+    def test_zfs_verdict_is_the_forcing_test(self):
+        rng = np.random.default_rng(53)
+        graphs = [load_fig(graph_id) for graph_id in GRAPH_IDS]
+        graphs += [random_digraph(rng, n_max=7) for _ in range(60)]
+        for g in graphs:
+            ok, witness = is_zero_forcing_set(g, g.leader_mask)
+            report = analyze(g, budget=50)
+            assert (report.method == "ZFS") == ok
+            assert report.zfs_trace == witness
+            assert (report.eeo_trace is None) == ok
 
 
 def paired_weights(g: ColoredDigraph, derived: ColoredDigraph, seed: int):

@@ -30,7 +30,7 @@ from colored_ssc.graph import (
     dumps,
 )
 
-from conftest import labels, members1
+from conftest import MALFORMED_FIELDS, labels, members1
 
 
 class TestValidate:
@@ -69,6 +69,14 @@ class TestValidate:
     def test_missing_field(self):
         with pytest.raises(GraphFormatError):
             validate({"n": 2, "edges": []})
+        for fields in MALFORMED_FIELDS:
+            with pytest.raises(GraphFormatError):
+                validate({"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], **fields})
+
+    def test_integral_labels_still_accepted(self):
+        loose = {"n": 2.0, "colors": ["c1"], "edges": [[1.0, "2", 1]], "leaders": ["1"]}
+        strict = {"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], "leaders": [1]}
+        assert validate(loose) == validate(strict)
 
     def test_size_bound(self):
         with pytest.raises(GraphFormatError):
