@@ -60,11 +60,8 @@ from .graph import (
 from .oracle import (
     OracleVerdict,
     Realization,
-    SystemMatrices,
     ZeroExtensionTrace,
-    assemble,
     is_balancing_set,
-    is_controllable_rank,
     sample_realization,
     sampled_verdict,
     uncontrollable_witness,

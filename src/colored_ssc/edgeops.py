@@ -248,9 +248,11 @@ def eeo_derived_set(
     The root stage is the zero-forcing test of ``black``.  Returns the
     trace with the largest final black set found, preferring complete ones;
     an exhausted budget of stages (the root one included) flags the trace
-    instead of raising.
+    instead of raising.  A budget below 1 raises ValueError.
     """
-    limit = max(1, config.eeo_budget if budget is None else budget)
+    limit = config.eeo_budget if budget is None else budget
+    if limit < 1:
+        raise ValueError(f"edge-operation budget must be >= 1, got {limit}")
     states = 0
     memo: set[tuple[ColoredDigraph, int]] = set()
     best: EeoTrace | None = None

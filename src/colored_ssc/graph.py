@@ -224,20 +224,32 @@ def validate(description: Mapping | str) -> ColoredDigraph:
     """
     if isinstance(description, str):
         description = json.loads(description)
+    if not isinstance(description, Mapping):
+        raise GraphFormatError("graph description is not a JSON object")
+    n = _field(description, "n", _integer)
+    colors = _field(description, "colors", lambda raw: tuple(str(c) for c in raw))
+    edges = _field(description, "edges", lambda raw: tuple(_edge(entry) for entry in raw))
+    leaders = None
+    if description.get("leaders") is not None:
+        leaders = _field(description, "leaders", lambda raw: tuple(_integer(v) - 1 for v in raw))
+    return ColoredDigraph(n=n, edges=edges, colors=colors, leaders=leaders)
+
+
+def _field(description: Mapping, name: str, parse):
+    """``parse(description[name])``, naming the field in any failure."""
     try:
-        n = _integer(description["n"])
-        colors = tuple(str(c) for c in description["colors"])
-        edges = []
-        for entry in description["edges"]:
-            if len(entry) != 3:
-                raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
-            tail, head, color = (_integer(x) for x in entry)
-            edges.append((tail - 1, head - 1, color - 1))
-        leaders_raw = description.get("leaders")
-        leaders = None if leaders_raw is None else tuple(_integer(v) - 1 for v in leaders_raw)
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"missing or malformed field: {exc}") from exc
-    return ColoredDigraph(n=n, edges=tuple(edges), colors=colors, leaders=leaders)
+        return parse(description[name])
+    except KeyError:
+        raise GraphFormatError(f"missing field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"malformed field {name!r}: {exc}") from exc
+
+
+def _edge(entry) -> tuple[int, int, int]:
+    if len(entry) != 3:
+        raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
+    tail, head, color = (_integer(x) for x in entry)
+    return tail - 1, head - 1, color - 1
 
 
 def _integer(value) -> int:

@@ -1,12 +1,14 @@
-"""Numerical ground truth: realizations, rank tests, and zero extension.
+"""Numerical ground truth: sampled realizations and the balancing test.
 
 Graph-theoretic certificates are universally quantified over edge-weight
 realizations; this module provides the per-realization side.  It samples
-weight realizations, assembles state-space matrices, runs Kalman and
-eigenvector (PBH) rank tests, and computes zero-extension derived sets by
-null-space analysis of the balance equations.  A leader set is balancing
-for a weighted graph exactly when the system is controllable for every
-diagonal, and a constructive witness diagonal is produced when it is not.
+color values and computes zero-extension derived sets by null-space
+analysis of the balance equations.  A leader set is balancing for a
+weighted graph W exactly when (W + D, B) is controllable for every
+diagonal D, so the balancing test is the package's one numerical test:
+it decides controllability over the free diagonal without drawing one.
+When a set is not balancing, :func:`uncontrollable_witness` constructs a
+diagonal that makes the pair uncontrollable.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ log = logging.getLogger("colored_ssc.oracle")
 # null-space basis fall below this fraction of the basis norm.
 NULLSPACE_REL_TOL = 1e-8
 
+# Sampled color values keep at least this magnitude.
+MIN_MAGNITUDE = 0.5
+
 
 class NoLeadersError(ValueError):
     pass
@@ -36,26 +41,12 @@ class InvalidTrialsError(ValueError):
 
 @dataclass(frozen=True)
 class Realization:
-    """Concrete weights: one nonzero value per color name, plus diagonal."""
+    """Concrete weights: one nonzero value per color name."""
 
     color_values: dict[str, float]
-    diagonal: tuple[float, ...]
 
     def to_jsonable(self) -> dict:
-        return {"color_values": dict(self.color_values), "diagonal": list(self.diagonal)}
-
-
-@dataclass
-class SystemMatrices:
-    """State-space pair: dense dynamics matrix and leader selector."""
-
-    a: np.ndarray
-    b: np.ndarray
-    leaders: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+        return {"color_values": dict(self.color_values)}
 
 
 @dataclass(frozen=True)
@@ -67,41 +58,17 @@ class ZeroExtensionTrace:
     final: int
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Numerical rank verdict with the margin used for borderline logging."""
-
-    rank: int
-    n: int
-    smallest_singular: float
-    threshold: float
-
-    @property
-    def controllable(self) -> bool:
-        return self.rank == self.n
-
-    @property
-    def borderline(self) -> bool:
-        return abs(self.smallest_singular - self.threshold) <= 10.0 * self.threshold
-
-
-def sample_realization(
-    g: ColoredDigraph, seed: int, min_magnitude: float = 0.5, zero_diag_prob: float = 0.1
-) -> Realization:
+def sample_realization(g: ColoredDigraph, seed: int) -> Realization:
     """Deterministic random realization for the graph's palette.
 
-    Color values have magnitude in ``[min_magnitude, 2]`` with random sign;
-    diagonal entries are uniform in [-1, 1] with occasional exact zeros,
-    since the diagonal is unconstrained.
+    Color values have magnitude in ``[MIN_MAGNITUDE, 2]`` with random sign.
+    No diagonal is drawn: the balancing test quantifies over all of them.
     """
     rng = np.random.default_rng(seed)
-    magnitudes = rng.uniform(min_magnitude, 2.0, size=len(g.colors))
+    magnitudes = rng.uniform(MIN_MAGNITUDE, 2.0, size=len(g.colors))
     signs = rng.choice((-1.0, 1.0), size=len(g.colors))
-    diagonal = rng.uniform(-1.0, 1.0, size=g.n)
-    diagonal[rng.random(g.n) < zero_diag_prob] = 0.0
     return Realization(
-        color_values={name: float(m * s) for name, m, s in zip(g.colors, magnitudes, signs)},
-        diagonal=tuple(float(d) for d in diagonal),
+        color_values={name: float(m * s) for name, m, s in zip(g.colors, magnitudes, signs)}
     )
 
 
@@ -111,66 +78,6 @@ def weighted_adjacency(g: ColoredDigraph, r: Realization) -> np.ndarray:
     for tail, head, color in g.edges:
         w[head, tail] = r.color_values[g.colors[color]]
     return w
-
-
-def assemble(g: ColoredDigraph, r: Realization) -> SystemMatrices:
-    """State-space matrices for a realization: A = W + diag, B selects leaders."""
-    if not g.leaders:
-        raise NoLeadersError("graph has no leader set")
-    a = weighted_adjacency(g, r) + np.diag(r.diagonal)
-    b = np.zeros((g.n, len(g.leaders)))
-    for j, v in enumerate(g.leaders):
-        b[v, j] = 1.0
-    return SystemMatrices(a=a, b=b, leaders=g.leaders)
-
-
-def controllability_matrix(sys: SystemMatrices) -> np.ndarray:
-    n, m = sys.b.shape
-    blocks = [sys.b]
-    for _ in range(n - 1):
-        blocks.append(sys.a @ blocks[-1])
-    return np.hstack(blocks)
-
-
-def kalman_report(sys: SystemMatrices, tolerance: float | None = None) -> RankReport:
-    """Rank of [B, AB, ..., A^(n-1)B] with an SVD cutoff of n*eps*sigma_max."""
-    k = controllability_matrix(sys)
-    sigma = np.linalg.svd(k, compute_uv=False)
-    threshold = (
-        tolerance
-        if tolerance is not None
-        else sys.n * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
-    )
-    rank = int(np.sum(sigma > threshold))
-    smallest = float(sigma[min(sys.n, sigma.size) - 1]) if sigma.size else 0.0
-    return RankReport(rank=rank, n=sys.n, smallest_singular=smallest, threshold=threshold)
-
-
-def is_controllable_rank(sys: SystemMatrices, tolerance: float | None = None) -> bool:
-    return kalman_report(sys, tolerance).controllable
-
-
-def pbh_report(sys: SystemMatrices, tolerance: float | None = None) -> RankReport:
-    """Eigenvector test: [A - lambda*I, B] must keep full row rank.
-
-    Rank can only drop at eigenvalues of A, so only those are checked.
-    """
-    worst_sigma = np.inf
-    worst_threshold = 0.0
-    rank_ok = True
-    for lam in np.linalg.eigvals(sys.a):
-        pencil = np.hstack([sys.a - lam * np.eye(sys.n), sys.b])
-        sigma = np.linalg.svd(pencil, compute_uv=False)
-        threshold = (
-            tolerance if tolerance is not None else sys.n * np.finfo(float).eps * sigma[0]
-        )
-        smallest = float(sigma[sys.n - 1])
-        if smallest <= threshold:
-            rank_ok = False
-        if smallest - threshold < worst_sigma - worst_threshold:
-            worst_sigma, worst_threshold = smallest, threshold
-    rank = sys.n if rank_ok else sys.n - 1
-    return RankReport(rank=rank, n=sys.n, smallest_singular=worst_sigma, threshold=worst_threshold)
 
 
 def _forced_white(

@@ -1,12 +1,12 @@
 """Shared helpers: label conversions, corpus access, random generators,
 and the reference routes the production code is checked against (all-subsets
 force enumeration, matching classes, the classic forcing rule, numeric
-realizations of slice patterns)."""
+realizations of slice patterns, the Kalman rank test)."""
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -229,6 +229,52 @@ def find_singular_realization(
         if abs(p.evaluate(values)) < 1e-7 * max(scale, 1.0):
             return values
     return None
+
+
+class KalmanRank(NamedTuple):
+    """Numerical rank of the controllability matrix, with its margin."""
+
+    rank: int
+    n: int
+    smallest_singular: float
+    threshold: float
+
+    @property
+    def controllable(self) -> bool:
+        return self.rank == self.n
+
+    @property
+    def borderline(self) -> bool:
+        return abs(self.smallest_singular - self.threshold) <= 10.0 * self.threshold
+
+
+def kalman_rank(a: np.ndarray, leaders: Sequence[int]) -> KalmanRank:
+    """Rank of [B, AB, ..., A^(n-1)B], B selecting the leaders, with an SVD
+    cutoff of n*eps*sigma_max.  Reference route for the balancing test; it
+    loses accuracy quickly with n, so tests use it only on small systems."""
+    n = a.shape[0]
+    b = np.zeros((n, len(leaders)))
+    for j, v in enumerate(leaders):
+        b[v, j] = 1.0
+    blocks = [b]
+    for _ in range(n - 1):
+        blocks.append(a @ blocks[-1])
+    sigma = np.linalg.svd(np.hstack(blocks), compute_uv=False)  # n values, descending
+    threshold = n * np.finfo(float).eps * sigma[0]
+    return KalmanRank(int(np.sum(sigma > threshold)), n, float(sigma[-1]), threshold)
+
+
+def sampled_diagonal(g: ColoredDigraph, seed: int) -> np.ndarray:
+    """The diagonal that ``sample_realization(g, seed)`` once drew after the
+    color values: entries uniform in [-1, 1], one in ten set to exactly 0.
+    Replaying the same generator stream keeps the rank cross-checks on the
+    same systems, bit for bit."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.5, 2.0, size=len(g.colors))
+    rng.choice((-1.0, 1.0), size=len(g.colors))
+    diagonal = rng.uniform(-1.0, 1.0, size=g.n)
+    diagonal[rng.random(g.n) < 0.1] = 0.0
+    return diagonal
 
 
 # One line per acceptance criterion, printed after the run so the verdicts

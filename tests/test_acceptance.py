@@ -3,9 +3,10 @@
 Criteria 1-6 pin the bundled golden graphs to their exact expected
 combinatorics.  Criteria 7-10 are randomized aggregates at fixed seeds:
 the two nonsingularity routes must agree, the balancing verdict must
-match rank verdicts on both sides of the all-diagonals quantifier, every
-certificate step must leave sampled zero-extension sets invariant, and no
-positive pipeline verdict may be falsified by sampling.
+match the test-only Kalman rank verdicts on both sides of the
+all-diagonals quantifier, every certificate step must leave sampled
+zero-extension sets invariant, and no positive pipeline verdict may be
+falsified by sampling.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from colored_ssc import (
 from colored_ssc.edgeops import EeoTrace, RemoveEdges, apply_op
 from colored_ssc.forcing import DerivationTrace
 from colored_ssc.graph import ColoredDigraph
-from colored_ssc.oracle import SystemMatrices, kalman_report
 from colored_ssc.corpus import load as load_fig
 
 from conftest import (
     class_term_map,
     classic_derived_set,
+    kalman_rank,
     labels,
     members1,
     pattern_matrix,
@@ -46,6 +47,7 @@ from conftest import (
     random_digraph,
     record_criterion,
     sample_color_values,
+    sampled_diagonal,
 )
 
 PAIRED_REALIZATIONS = 100
@@ -149,24 +151,22 @@ def test_criterion_7_route_agreement():
 
 @check("criterion 8: balancing verdict matches rank verdicts on 500 systems")
 def test_criterion_8_balancing_vs_rank():
-    """Balancing must imply a controllable pair for the sampled diagonal;
+    """Balancing must imply a controllable pair for a sampled diagonal;
     a non-balancing verdict must be certified by a witness diagonal whose
-    pair fails the rank test.  Disagreements are excused only within the
+    pair fails the rank test.  The rank test is the test-only Kalman route
+    of conftest, and the sampled diagonal replays the stream the oracle
+    once drew it from.  Disagreements are excused only within the
     borderline band around the rank threshold, at under 2 percent."""
     rng = np.random.default_rng(4096)
     total = 500
     borderline = 0
     for i in range(total):
         g = random_digraph(rng, n_max=7)
-        r = sample_realization(g, 80_000 + i)
-        w = weighted_adjacency(g, r)
+        w = weighted_adjacency(g, sample_realization(g, 80_000 + i))
         trace = zero_extension_derived_set(w, g.leader_mask)
         balancing = trace.final == g.full_mask
         if balancing:
-            b = np.zeros((g.n, len(g.leaders)))
-            for j, v in enumerate(g.leaders):
-                b[v, j] = 1.0
-            report = kalman_report(SystemMatrices(a=w + np.diag(r.diagonal), b=b, leaders=g.leaders))
+            report = kalman_rank(w + np.diag(sampled_diagonal(g, 80_000 + i)), g.leaders)
             if not report.controllable:
                 assert report.smallest_singular <= 11.0 * report.threshold, (
                     f"system {i}: balancing but clearly rank deficient"
@@ -175,10 +175,7 @@ def test_criterion_8_balancing_vs_rank():
         else:
             diag = uncontrollable_witness(w, g.leader_mask, rng)
             assert diag is not None, f"system {i}: stuck derivation but no witness"
-            b = np.zeros((g.n, len(g.leaders)))
-            for j, v in enumerate(g.leaders):
-                b[v, j] = 1.0
-            report = kalman_report(SystemMatrices(a=w + np.diag(diag), b=b, leaders=g.leaders))
+            report = kalman_rank(w + np.diag(diag), g.leaders)
             if report.controllable:
                 assert report.smallest_singular <= 11.0 * report.threshold, (
                     f"system {i}: witness diagonal but clearly full rank"
@@ -245,9 +242,7 @@ def test_criterion_9_invariance_of_certificates():
             r = sample_realization(g, 60_000 + seed)
             w = weighted_adjacency(g, r)
             values = {name: r.color_values[name] for name in derived.colors}
-            w2 = weighted_adjacency(
-                derived, type(r)(color_values=values, diagonal=r.diagonal)
-            )
+            w2 = weighted_adjacency(derived, type(r)(color_values=values))
             assert (
                 zero_extension_derived_set(w, black).final
                 == zero_extension_derived_set(w2, black).final

@@ -37,6 +37,8 @@ class TestValidate:
             code, _, err = run_cli(capsys, "validate", str(bad))
             assert code == EXIT_INPUT_ERROR
             assert err.startswith("error:") and err.count("\n") == 1
+            (name,) = fields
+            assert f"field '{name}'" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/nonexistent.json")
@@ -87,14 +89,46 @@ class TestCheck:
 
 
 class TestUsage:
-    @pytest.mark.parametrize("flags", [("--bogus",), ("--max-source", "2")])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("check", "--bogus"),
+            ("check", "--max-source", "2"),
+            ("oracle", "--tolerance", "1e-9"),
+        ],
+    )
     def test_usage_error_is_input_error(self, capsys, flags):
         # argparse's own exit code 2 would read as UNDECIDED
+        command, *rest = flags
         with pytest.raises(SystemExit) as exc:
-            main(["check", str(fig_path("fig5")), *flags])
+            main([command, str(fig_path("fig5")), *rest])
         assert exc.value.code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "error: unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["forcing", "fig2", "--max-source", "0"], "--max-source"),
+            (["forcing", "fig2", "--max-source", "-1"], "--max-source"),
+            (["forcing", "fig2", "--greedy", "--max-source", "0"], "--max-source"),
+            (["check", "fig5", "--budget", "-3"], "--budget"),
+            (["eeo-derive", "fig5", "--budget", "0"], "--budget"),
+            (["export-dot", "fig5", "--stage", "1", "--budget", "0"], "--budget"),
+            (["oracle", "fig2", "--trials", "0"], "--trials"),
+            (["check", "fig5", "--oracle", "--trials", "-2"], "--trials"),
+            (["oracle", "fig2", "--seed", "-1"], "--seed"),
+            (["check", "fig5", "--budget", "two"], "--budget"),
+        ],
+    )
+    def test_out_of_range_option_is_input_error(self, capsys, argv, flag):
+        command, graph_id, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(fig_path(graph_id)), *rest])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}:" in captured.err
 
     @pytest.mark.parametrize("argv", [["--version"], ["check", "--help"]])
     def test_help_and_version_exit_ok(self, capsys, argv):
@@ -190,8 +224,38 @@ class TestOracleCommand:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["verdict"] == "CORROBORATED"
-        assert report["margins"]["min"] > 0
+        assert report == {"verdict": "CORROBORATED", "trials": 10, "failures": []}
+
+    def test_samples_once_per_trial(self, capsys, monkeypatch):
+        import colored_ssc.cli as cli
+        import colored_ssc.oracle as oracle
+
+        calls = []
+        original = oracle.sample_realization
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # both bindings, so a second sampling pass in the command would count
+        monkeypatch.setattr(oracle, "sample_realization", counted)
+        monkeypatch.setattr(cli, "sample_realization", counted)
+        code, _, _ = run_cli(capsys, "oracle", str(fig_path("fig2")), "--trials", "10")
+        assert code == EXIT_OK
+        assert len(calls) == 10
+
+    def test_counterexample_has_color_values_only(self, capsys, tmp_path):
+        doc = serialize(load_fig("fig5"))
+        doc["leaders"] = [1]
+        target = tmp_path / "fig5_single.json"
+        target.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "oracle", str(target), "--json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert set(report) == {"verdict", "trials", "failures"}
+        assert report["verdict"] == "COUNTEREXAMPLE"
+        (failure,) = report["failures"]
+        assert set(failure) == {"color_values", "seed_offset"}
 
 
 class TestSoundnessTripwire:

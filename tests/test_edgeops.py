@@ -182,6 +182,11 @@ class TestEeoDerivation:
         assert trace.budget_exhausted
         assert not trace.complete
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            eeo_derived_set(load_fig("fig5"), labels(1, 2), budget=budget)
+
     def test_classic_derivation_contained_in_eeo(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -244,10 +249,7 @@ def paired_weights(g: ColoredDigraph, derived: ColoredDigraph, seed: int):
     """Same color realization rendered on a stage graph and its derivative."""
     r = sample_realization(g, seed)
     values = dict(r.color_values)
-    r2 = Realization(
-        color_values={name: values[name] for name in derived.colors},
-        diagonal=r.diagonal,
-    )
+    r2 = Realization(color_values={name: values[name] for name in derived.colors})
     return weighted_adjacency(g, r), weighted_adjacency(derived, r2)
 
 

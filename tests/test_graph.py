@@ -70,7 +70,8 @@ class TestValidate:
         with pytest.raises(GraphFormatError):
             validate({"n": 2, "edges": []})
         for fields in MALFORMED_FIELDS:
-            with pytest.raises(GraphFormatError):
+            (name,) = fields
+            with pytest.raises(GraphFormatError, match=f"field '{name}'"):
                 validate({"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], **fields})
 
     def test_integral_labels_still_accepted(self):

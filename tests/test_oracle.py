@@ -1,4 +1,5 @@
-"""Realizations, rank tests, zero extension, and sampled verdicts."""
+"""Realizations, zero extension, the balancing test against the reference
+Kalman rank test, and sampled verdicts."""
 
 from __future__ import annotations
 
@@ -7,9 +8,7 @@ import pytest
 
 from colored_ssc import (
     ColoredDigraph,
-    assemble,
     is_balancing_set,
-    is_controllable_rank,
     sample_realization,
     sampled_verdict,
     uncontrollable_witness,
@@ -17,17 +16,9 @@ from colored_ssc import (
     zero_extension_derived_set,
 )
 from colored_ssc.corpus import load as load_fig
-from colored_ssc.oracle import (
-    InvalidTrialsError,
-    NoLeadersError,
-    Realization,
-    SystemMatrices,
-    _forced_white,
-    kalman_report,
-    pbh_report,
-)
+from colored_ssc.oracle import InvalidTrialsError, NoLeadersError, Realization, _forced_white
 
-from conftest import labels, random_digraph
+from conftest import kalman_rank, labels, random_digraph, sampled_diagonal
 
 
 class TestSampling:
@@ -52,10 +43,9 @@ class TestSampling:
             assert all(0.5 <= abs(v) <= 2.0 for v in r.color_values.values())
 
     def test_diagonal_zeros_sampled_occasionally(self):
+        # the replayed reference diagonals keep exact zeros in the mix
         g = load_fig("fig2")
-        entries = [
-            d for seed in range(300) for d in sample_realization(g, seed).diagonal
-        ]
+        entries = [d for seed in range(300) for d in sampled_diagonal(g, seed)]
         zero_share = sum(1 for d in entries if d == 0.0) / len(entries)
         assert 0.05 < zero_share < 0.18  # nominal rate is one in ten
 
@@ -64,7 +54,7 @@ class TestAssemble:
     def test_fig2_pattern(self):
         g = load_fig("fig2")
         r = sample_realization(g, 3)
-        sys = assemble(g, r)
+        a = weighted_adjacency(g, r)
         c1, c2, c3 = (r.color_values[name] for name in ("c1", "c2", "c3"))
         expected_nonzero = {
             (3, 0): c1, (5, 0): c1, (4, 3): c1,
@@ -72,58 +62,41 @@ class TestAssemble:
             (4, 2): c3, (5, 2): c3, (4, 5): c3,
         }
         for (i, j), value in expected_nonzero.items():
-            assert sys.a[i, j] == value
+            assert a[i, j] == value
         for i in range(6):
             for j in range(6):
-                if i != j and (i, j) not in expected_nonzero:
-                    assert sys.a[i, j] == 0
-            assert sys.a[i, i] == r.diagonal[i]
+                if (i, j) not in expected_nonzero:
+                    assert a[i, j] == 0
 
     def test_edgeless_graph_is_diagonal(self):
+        # W is zero, so the reference system A = W + D is D itself
         g = ColoredDigraph(n=3, edges=(), colors=(), leaders=(0,))
-        r = Realization(color_values={}, diagonal=(0.5, -0.5, 0.25))
-        a = assemble(g, r).a
-        assert np.array_equal(a, np.diag(r.diagonal))
+        d = np.diag([0.5, -0.5, 0.25])
+        a = weighted_adjacency(g, Realization(color_values={})) + d
+        assert np.array_equal(a, d)
 
     def test_b_selector_block(self):
+        # with A = 0 the controllability matrix is [B, 0, ...]: one
+        # independent column per leader
         g = load_fig("fig2")
-        sys = assemble(g, sample_realization(g, 0))
-        assert sys.b.shape == (6, 3)
-        assert np.array_equal(sys.b[:3], np.eye(3))
-        assert np.array_equal(sys.b[3:], np.zeros((3, 3)))
-
-    def test_no_leaders(self):
-        g = ColoredDigraph(n=2, edges=((0, 1, 0),), colors=("c1",))
-        with pytest.raises(NoLeadersError):
-            assemble(g, sample_realization(g, 0))
+        assert kalman_rank(np.zeros((6, 6)), g.leaders).rank == 3
+        assert kalman_rank(np.zeros((6, 6)), g.leaders[:1]).rank == 1
 
 
 class TestRankTests:
     def test_integrator_chain_controllable(self):
         n = 5
         a = np.diag(np.ones(n - 1), -1)
-        b = np.eye(n)[:, [0]]
-        assert is_controllable_rank(SystemMatrices(a=a, b=b, leaders=(0,)))
+        assert kalman_rank(a, (0,)).controllable
 
     def test_zero_dynamics_single_input_uncontrollable(self):
-        sys = SystemMatrices(a=np.zeros((2, 2)), b=np.eye(2)[:, [0]], leaders=(0,))
-        assert not is_controllable_rank(sys)
+        assert not kalman_rank(np.zeros((2, 2)), (0,)).controllable
 
     def test_fig5_always_controllable(self):
         g = load_fig("fig5")
         for seed in range(100):
-            assert is_controllable_rank(assemble(g, sample_realization(g, seed)))
-
-    def test_pbh_matches_kalman(self):
-        rng = np.random.default_rng(9)
-        for i in range(150):
-            g = random_digraph(rng)
-            sys = assemble(g, sample_realization(g, 4000 + i))
-            k = kalman_report(sys)
-            p = pbh_report(sys)
-            if k.borderline or p.borderline:
-                continue
-            assert k.controllable == p.controllable
+            a = weighted_adjacency(g, sample_realization(g, seed)) + np.diag(sampled_diagonal(g, seed))
+            assert kalman_rank(a, g.leaders).controllable
 
 
 class TestZeroExtension:
@@ -192,21 +165,15 @@ class TestBalancing:
         rng = np.random.default_rng(13)
         for i in range(150):
             g = random_digraph(rng)
-            r = sample_realization(g, 6000 + i)
-            w = weighted_adjacency(g, r)
+            w = weighted_adjacency(g, sample_realization(g, 6000 + i))
             if is_balancing_set(w, g.leader_mask):
-                report = kalman_report(assemble(g, r))
+                report = kalman_rank(w + np.diag(sampled_diagonal(g, 6000 + i)), g.leaders)
                 assert report.controllable or report.borderline
                 assert uncontrollable_witness(w, g.leader_mask) is None
             else:
                 diag = uncontrollable_witness(w, g.leader_mask, rng)
                 assert diag is not None
-                sys = SystemMatrices(
-                    a=w + np.diag(diag),
-                    b=assemble(g, r).b,
-                    leaders=g.leaders,
-                )
-                report = kalman_report(sys)
+                report = kalman_rank(w + np.diag(diag), g.leaders)
                 assert not report.controllable or report.borderline
 
 
