@@ -2,29 +2,38 @@
 
 Graph-theoretic certificates are universally quantified over edge-weight
 realizations; this module provides the per-realization side.  It samples
-color values and computes zero-extension derived sets by null-space
-analysis of the balance equations.  A leader set is balancing for a
-weighted graph W exactly when (W + D, B) is controllable for every
-diagonal D, so the balancing test is the package's one numerical test:
-it decides controllability over the free diagonal without drawing one.
-When a set is not balancing, :func:`uncontrollable_witness` constructs a
-diagonal that makes the pair uncontrollable.
+color values and computes zero-extension derived sets from the balance
+equations.  A leader set is balancing for a weighted graph W exactly when
+(W + D, B) is controllable for every diagonal D, so the balancing test is
+the package's one numerical test: it decides controllability over the
+free diagonal without drawing one.  Zero extension keeps one orthonormal
+null basis of the admitted balance equations for the whole fixpoint: each
+equation that turns out independent removes one direction by a
+Householder reflection, and each forced vertex removes its coordinate.
+When a set is not balancing, :func:`uncontrollable_witness` turns that
+basis into a diagonal that makes the pair uncontrollable.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import ColoredDigraph, iter_vset, vset
 
 log = logging.getLogger("colored_ssc.oracle")
 
-# A white coordinate counts as forced to zero when its rows of the
-# null-space basis fall below this fraction of the basis norm.
+# Both rank decisions of zero extension are relative to this fraction.  A
+# balance equation is dependent when its component in the current null
+# space is below it times the norm of its column of W; a white coordinate
+# is forced to zero when its column of the null basis is below it times
+# the basis norm.  An eps-scaled cutoff is too tight for the first
+# decision: the rounding of earlier reflections leaves a dependent
+# equation a component of a few eps, and admitting it removes a direction
+# the solution space really has.
 NULLSPACE_REL_TOL = 1e-8
 
 # Sampled color values keep at least this magnitude.
@@ -80,43 +89,59 @@ def weighted_adjacency(g: ColoredDigraph, r: Realization) -> np.ndarray:
     return w
 
 
-def _forced_white(
-    w: np.ndarray, zero_members: list[int], white_members: list[int]
-) -> list[int]:
-    """White vertices whose coordinate vanishes on the whole solution space
-    of the balance equations attached to ``zero_members``."""
-    system = w[np.ix_(white_members, zero_members)].T  # rows: equations at zero vertices
-    basis = scipy.linalg.null_space(system)
-    if basis.shape[1] == 0:
-        return list(white_members)
-    scale = np.linalg.norm(basis)
-    rows = np.linalg.norm(basis, axis=1)
-    return [v for v, r in zip(white_members, rows) if r < NULLSPACE_REL_TOL * scale]
+def _zero_extension(
+    w: np.ndarray, zero: int
+) -> tuple[ZeroExtensionTrace, np.ndarray, np.ndarray]:
+    """Zero extension from ``zero``, with the null basis it ends on and
+    the white vertices that index its columns.
+
+    The basis has one column per white vertex, and its orthonormal rows
+    span the solutions x of the balance equations ``x @ w[white, j] = 0``
+    of the zero vertices j admitted so far.  It starts as the identity.
+    Admitting an independent equation reflects its direction onto the
+    first row, which is dropped.  A forced vertex loses its column, which
+    is zero up to rounding, so the rows stay orthonormal and span the
+    solutions on the remaining white vertices.
+    """
+    n = w.shape[0]
+    column_norms = np.linalg.norm(w, axis=0)
+    white = np.array([v for v in range(n) if not zero >> v & 1], dtype=np.intp)
+    basis = np.eye(len(white))
+    admit = list(iter_vset(zero))
+    steps: list[tuple[int, int]] = []
+    initial = zero
+    while len(white):
+        for j in admit:
+            m = basis @ w[white, j]
+            size = math.sqrt(m @ m)
+            if size > NULLSPACE_REL_TOL * column_norms[j]:
+                m[0] += math.copysign(size, m[0])  # the reflection's normal
+                basis = basis[1:] - (m[1:] * (2.0 / (m @ m)))[:, None] * (m @ basis)
+        if len(basis):
+            squares = np.einsum("ij,ij->j", basis, basis)
+            forced = np.sqrt(squares) < NULLSPACE_REL_TOL * math.sqrt(squares.sum())
+        else:
+            forced = np.ones(len(white), dtype=bool)
+        if not forced.any():
+            break
+        admit = white[forced].tolist()
+        white = white[~forced]
+        basis = basis[:, ~forced]
+        forced_mask = vset(admit)
+        steps.append((zero, forced_mask))
+        zero |= forced_mask
+    return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero), basis, white
 
 
 def zero_extension_derived_set(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
     """Propagate zeros through balance equations until a fixpoint.
 
-    Each round solves the full system attached to the current zero set:
-    every white vertex whose coordinate vanishes across the entire null
-    space joins the zero set.  The fixpoint does not depend on the order
-    in which forced vertices are admitted.
+    Each round, every white vertex whose coordinate vanishes across the
+    entire null space of the equations at the current zero set joins the
+    zero set.  The fixpoint does not depend on the order in which forced
+    vertices are admitted.
     """
-    n = w.shape[0]
-    initial = zero
-    steps: list[tuple[int, int]] = []
-    while True:
-        white_members = [v for v in range(n) if not zero >> v & 1]
-        if not white_members:
-            break
-        zero_members = list(iter_vset(zero))
-        forced = _forced_white(w, zero_members, white_members)
-        if not forced:
-            break
-        forced_mask = vset(forced)
-        steps.append((zero, forced_mask))
-        zero |= forced_mask
-    return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
+    return _zero_extension(w, zero)[0]
 
 
 def is_balancing_set(w: np.ndarray, zero: int) -> bool:
@@ -137,20 +162,16 @@ def uncontrollable_witness(
     """
     rng = rng or np.random.default_rng(0)
     n = w.shape[0]
-    trace = zero_extension_derived_set(w, leader_mask)
+    trace, basis, white_members = _zero_extension(w, leader_mask)
     if trace.final == (1 << n) - 1:
         return None
-    zero_members = list(iter_vset(trace.final))
-    white_members = [v for v in range(n) if v not in zero_members]
-    system = w[np.ix_(white_members, zero_members)].T
-    basis = scipy.linalg.null_space(system)
     # A generic null vector is nonzero on every white vertex; prefer the
     # draw with the best min/max coordinate ratio so the solved-for
     # diagonal entries stay moderate.
     x_white = None
     best_ratio = 0.0
     for _ in range(64):
-        candidate = basis @ rng.standard_normal(basis.shape[1])
+        candidate = rng.standard_normal(len(basis)) @ basis
         top = float(np.max(np.abs(candidate), initial=0.0))
         if top == 0.0:
             continue

@@ -1,7 +1,8 @@
 """Shared helpers: label conversions, corpus access, random generators,
 and the reference routes the production code is checked against (all-subsets
 force enumeration, matching classes, the classic forcing rule, numeric
-realizations of slice patterns, the Kalman rank test)."""
+realizations of slice patterns, the Kalman rank test, zero extension solved
+from scratch each round)."""
 
 from __future__ import annotations
 
@@ -10,11 +11,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from colored_ssc import (
     ColoredDigraph,
     DetPolynomial,
     Force,
+    ZeroExtensionTrace,
     enumerate_matchings,
     equivalence_classes,
     is_color_perfect,
@@ -27,6 +30,7 @@ from colored_ssc import (
 from colored_ssc.bipartite import ColoredBipartite
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.graph import iter_vset
+from colored_ssc.oracle import NULLSPACE_REL_TOL
 
 
 def labels(*vertices: int) -> int:
@@ -54,6 +58,20 @@ MALFORMED_FIELDS = (
 )
 
 
+def _trimmed(
+    n: int, edges: list[tuple[int, int, int]], leaders: tuple[int, ...] | None
+) -> ColoredDigraph:
+    """Digraph with its palette trimmed to the colors the edges use."""
+    used = sorted({c for _, _, c in edges})
+    remap = {c: i for i, c in enumerate(used)}
+    return ColoredDigraph(
+        n=n,
+        edges=tuple((t, h, remap[c]) for t, h, c in edges),
+        colors=tuple(f"c{i + 1}" for i in range(len(used))),
+        leaders=leaders,
+    )
+
+
 def random_digraph(
     rng: np.random.Generator,
     n_min: int = 2,
@@ -74,18 +92,36 @@ def random_digraph(
         ]
         if not edges:
             continue
-        used = sorted({c for _, _, c in edges})
-        remap = {c: i for i, c in enumerate(used)}
         leaders = None
         if with_leaders:
             m = int(rng.integers(1, n + 1))
             leaders = tuple(sorted(int(v) for v in rng.choice(n, size=m, replace=False)))
-        return ColoredDigraph(
-            n=n,
-            edges=tuple((t, h, remap[c]) for t, h, c in edges),
-            colors=tuple(f"c{i + 1}" for i in range(len(used))),
-            leaders=leaders,
-        )
+        return _trimmed(n, edges, leaders)
+
+
+def chain_digraph(rng: np.random.Generator, n: int, twins: bool) -> ColoredDigraph:
+    """Path 0 -> 1 -> ... with random back edges and 1-3 colors; leader {0}.
+
+    Without twins, classic forcing from vertex 0 walks the path, so the
+    leader set is balancing for every realization.  With twins, the path
+    ends in two leaves fed by one color from the same vertex; their balance
+    equation w*(x_a + x_b) = 0 forces neither, so no realization is
+    balancing.
+    """
+    k = int(rng.integers(1, 4))
+    back_prob = rng.uniform(0.0, 0.5)
+    last = n - 2 if twins else n  # vertices on the path
+    edges = [(v, v + 1, int(rng.integers(k))) for v in range(last - 1)]
+    edges += [
+        (j, i, int(rng.integers(k)))
+        for j in range(1, last)
+        for i in range(j)
+        if rng.random() < back_prob
+    ]
+    if twins:
+        color = int(rng.integers(k))
+        edges += [(last - 1, last, color), (last - 1, last + 1, color)]
+    return _trimmed(n, sorted(edges), (0,))
 
 
 def all_subsets_forces(
@@ -275,6 +311,38 @@ def sampled_diagonal(g: ColoredDigraph, seed: int) -> np.ndarray:
     diagonal = rng.uniform(-1.0, 1.0, size=g.n)
     diagonal[rng.random(g.n) < 0.1] = 0.0
     return diagonal
+
+
+def forced_white(w: np.ndarray, zero_members: list[int], white_members: list[int]) -> list[int]:
+    """White vertices whose coordinate vanishes on the whole solution space
+    of the balance equations attached to ``zero_members``, from one SVD."""
+    system = w[np.ix_(white_members, zero_members)].T  # rows: equations at zero vertices
+    basis = scipy.linalg.null_space(system)
+    if basis.shape[1] == 0:
+        return list(white_members)
+    scale = np.linalg.norm(basis)
+    rows = np.linalg.norm(basis, axis=1)
+    return [v for v, r in zip(white_members, rows) if r < NULLSPACE_REL_TOL * scale]
+
+
+def reference_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
+    """Zero extension that solves the whole balance system from scratch
+    each round.  Reference route for the production routine, which keeps
+    one null basis and updates it."""
+    n = w.shape[0]
+    initial = zero
+    steps: list[tuple[int, int]] = []
+    while True:
+        white_members = [v for v in range(n) if not zero >> v & 1]
+        if not white_members:
+            break
+        forced = forced_white(w, list(iter_vset(zero)), white_members)
+        if not forced:
+            break
+        forced_mask = vset(forced)
+        steps.append((zero, forced_mask))
+        zero |= forced_mask
+    return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
 
 
 # One line per acceptance criterion, printed after the run so the verdicts

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import colored_ssc
 from colored_ssc import serialize, validate
 from colored_ssc.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SEARCH_CAP, EXIT_UNDECIDED, main
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig, path as fig_path
@@ -256,6 +261,23 @@ class TestOracleCommand:
         assert report["verdict"] == "COUNTEREXAMPLE"
         (failure,) = report["failures"]
         assert set(failure) == {"color_values", "seed_offset"}
+
+
+class TestImport:
+    def test_cli_loads_no_scipy(self):
+        # scipy is a test-only dependency; importing it would about double
+        # the start-up time of every command
+        src = str(Path(colored_ssc.__file__).resolve().parents[1])
+        code = "import sys, colored_ssc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestSoundnessTripwire:

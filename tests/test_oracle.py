@@ -1,5 +1,6 @@
-"""Realizations, zero extension, the balancing test against the reference
-Kalman rank test, and sampled verdicts."""
+"""Realizations, zero extension against its from-scratch reference, the
+balancing test against the reference Kalman rank test, and sampled
+verdicts."""
 
 from __future__ import annotations
 
@@ -12,13 +13,22 @@ from colored_ssc import (
     sample_realization,
     sampled_verdict,
     uncontrollable_witness,
+    validate,
     weighted_adjacency,
     zero_extension_derived_set,
 )
 from colored_ssc.corpus import load as load_fig
-from colored_ssc.oracle import InvalidTrialsError, NoLeadersError, Realization, _forced_white
+from colored_ssc.oracle import InvalidTrialsError, NoLeadersError, Realization
 
-from conftest import kalman_rank, labels, random_digraph, sampled_diagonal
+from conftest import (
+    chain_digraph,
+    forced_white,
+    kalman_rank,
+    labels,
+    random_digraph,
+    reference_zero_extension,
+    sampled_diagonal,
+)
 
 
 class TestSampling:
@@ -139,13 +149,94 @@ def _randomized_extension(w: np.ndarray, zero: int, rng: np.random.Generator) ->
             return zero
         zero_members = [v for v in range(n) if zero >> v & 1]
         subset = [v for v in zero_members if rng.random() < 0.5] or zero_members
-        forced = _forced_white(w, subset, white)
+        forced = forced_white(w, subset, white)
         if not forced and subset != zero_members:
-            forced = _forced_white(w, zero_members, white)
+            forced = forced_white(w, zero_members, white)
         if not forced:
             return zero
         keep = [v for v in forced if rng.random() < 0.7] or forced
         zero |= sum(1 << v for v in keep)
+
+
+# Systems on which a dependence cutoff scaled by eps decides wrongly, each
+# with the seed of its realization.  The first has one color and a stuck
+# system of rank exactly 1; a cutoff of eps/4 times the equation's norm
+# admits a rounding residue as a second equation and calls the leaders
+# balancing.  On the second, a cutoff of eps times the equation's norm
+# (or len(white) times that) forces vertex index 5 a round early.
+TRAP_SYSTEMS = {
+    "one-color-rank-1": (
+        {
+            "n": 10,
+            "colors": ["c1"],
+            "edges": [
+                [1, 2, 1], [1, 7, 1], [1, 8, 1], [1, 9, 1], [2, 6, 1], [2, 10, 1],
+                [3, 1, 1], [3, 2, 1], [3, 4, 1], [3, 10, 1], [4, 3, 1], [4, 5, 1],
+                [4, 6, 1], [4, 9, 1], [4, 10, 1], [5, 6, 1], [6, 1, 1], [6, 3, 1],
+                [6, 4, 1], [7, 3, 1], [7, 4, 1], [7, 5, 1], [7, 9, 1], [8, 1, 1],
+                [9, 6, 1], [10, 2, 1],
+            ],
+            "leaders": [2, 5, 6, 8, 9],
+        },
+        8,
+    ),
+    "forced-a-round-early": (
+        {
+            "n": 13,
+            "colors": ["c1", "c2", "c3"],
+            "edges": [
+                [1, 3, 1], [1, 5, 1], [1, 6, 3], [1, 7, 2], [1, 11, 2], [2, 3, 3],
+                [2, 5, 1], [2, 7, 1], [2, 12, 2], [3, 2, 3], [3, 4, 3], [3, 5, 2],
+                [3, 8, 3], [3, 10, 1], [4, 8, 3], [4, 12, 2], [5, 1, 3], [5, 3, 2],
+                [5, 11, 1], [6, 2, 2], [6, 7, 1], [6, 8, 2], [6, 10, 1], [6, 13, 2],
+                [7, 11, 1], [7, 13, 3], [8, 3, 3], [8, 4, 3], [9, 1, 1], [9, 2, 1],
+                [9, 3, 2], [9, 5, 1], [9, 8, 1], [9, 10, 1], [9, 11, 1], [10, 4, 2],
+                [10, 5, 2], [10, 7, 2], [10, 9, 2], [10, 12, 1], [11, 5, 3], [11, 6, 2],
+                [11, 12, 1], [12, 1, 2], [12, 2, 3], [12, 10, 2], [13, 2, 1], [13, 8, 2],
+                [13, 10, 3],
+            ],
+            "leaders": [2, 3, 8, 9, 10, 13],
+        },
+        8,
+    ),
+}
+
+
+class TestAgainstReference:
+    """The production zero extension, which updates one null basis, gives
+    the same steps and fixpoint as the reference that solves each round
+    from scratch."""
+
+    def test_random_digraphs(self):
+        rng = np.random.default_rng(47)
+        single_color = 0
+        for i in range(300):
+            g = random_digraph(rng)
+            single_color += len(g.colors) == 1
+            w = weighted_adjacency(g, sample_realization(g, 7000 + i))
+            assert zero_extension_derived_set(w, g.leader_mask) == reference_zero_extension(
+                w, g.leader_mask
+            )
+        assert single_color >= 30
+
+    @pytest.mark.parametrize("twins", [False, True], ids=["chain", "twins"])
+    @pytest.mark.parametrize("n", [20, 30, 40, 50, 62])
+    def test_chains(self, n, twins):
+        g = chain_digraph(np.random.default_rng(n + 100 * twins), n, twins)
+        for trial in range(20):
+            w = weighted_adjacency(g, sample_realization(g, trial))
+            trace = zero_extension_derived_set(w, g.leader_mask)
+            assert trace == reference_zero_extension(w, g.leader_mask)
+            assert (trace.final == g.full_mask) is not twins
+
+    @pytest.mark.parametrize("name", sorted(TRAP_SYSTEMS))
+    def test_trap_systems(self, name):
+        doc, trial = TRAP_SYSTEMS[name]
+        g = validate(doc)
+        w = weighted_adjacency(g, sample_realization(g, trial))
+        trace = zero_extension_derived_set(w, g.leader_mask)
+        assert trace == reference_zero_extension(w, g.leader_mask)
+        assert (trace.final == g.full_mask) is (name == "forced-a-round-early")
 
 
 class TestBalancing:
