@@ -2,7 +2,8 @@
 
 Everything here is exact integer work.  The production route is the
 symbolic determinant of the pattern matrix, kept as an integer-coefficient
-monomial map and computed by subset dynamic programming: a pattern is
+monomial map: rows and columns with one entry are peeled off as factors,
+and subset dynamic programming expands the core that is left.  A pattern is
 nonsingular iff that polynomial is a single monomial (one that survives
 alone cannot vanish at nonzero values, while two or more always admit a
 nonzero complex root), and its coefficient is the certifying class
@@ -11,6 +12,14 @@ equal-spectrum classes, are the independent route to the same facts: each
 class is one monomial and its signature is that monomial's coefficient.
 The ``bipartite`` command prints them, and the tests check the determinant
 against them.
+
+The verdict is cached on a slice key (:data:`SliceKey`): per X row in
+order, the Y positions and the colors renumbered by first appearance.
+Vertex ids and color names do not enter it, and renumbering colors changes
+neither the number of terms nor their coefficients.  The force search
+builds the key straight from the graph (``graph.slice_key``), and
+:meth:`ColoredBipartite.slice_key` builds the same key from a slice object,
+so there is one cache and one engine.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ class EnumerationCapError(RuntimeError):
 
 
 ENUMERATION_CAP = 12
+
+# One row per X vertex, in order: flat (column, color) pairs in column order,
+# colors renumbered by first appearance.
+SliceKey = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,15 @@ class ColoredBipartite:
 
     def color_lookup(self) -> dict[tuple[int, int], int]:
         return {(xi, yi): c for xi, yi, c in self.edges}
+
+    def slice_key(self) -> SliceKey:
+        """Per x, flat ``(y, color)`` pairs in y order, colors renumbered
+        by first appearance: the key :func:`slice_signature` is cached on."""
+        relabel: dict[int, int] = {}
+        rows: list[list[int]] = [[] for _ in self.x_vertices]
+        for xi, yi, c in self.edges:
+            rows[xi] += (yi, relabel.setdefault(c, len(relabel)))
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -220,55 +242,125 @@ def equivalence_classes(matchings: Sequence[Matching]) -> tuple[MatchingClass, .
     )
 
 
-def symbolic_det(b: ColoredBipartite) -> DetPolynomial:
-    """Determinant of the pattern matrix, expanded over the color variables.
+def _det_terms(rows: Sequence[Sequence[int]]) -> tuple[int, dict[int, int]]:
+    """Determinant of a square pattern given as rows of flat ``(column,
+    color)`` pairs in column order: ``(width, terms)``, each term an
+    exponent vector packed ``width`` bits per color, mapped to its nonzero
+    coefficient.
 
-    Subset dynamic programming over the X rows in index order: each state
-    maps the set of Y columns used so far to the polynomial summed over all
-    partial assignments that use them.  Assigning row x to column y passes
-    over the columns above y that earlier rows took, one inversion each, so
-    the sign flips when their count is odd.  Exponent vectors are packed
-    into one integer (``width`` bits per color, enough for degree ``t``)
-    while the DP runs, and zero coefficients are dropped at every layer.
-    That is O(2^t * t) polynomial steps, where a row expansion takes t!.
+    First peels: a row or column with one entry c expands to a factor
+    (-1)^(i+j) * c, i and j the entry's current positions, times the minor;
+    an empty row or column makes the determinant zero.  Only the lines that
+    crossed a peeled entry are looked at again.  The core left over runs a
+    subset dynamic program over its rows in index order, starting from the
+    peeled factor: each state maps the set of core columns used so far to
+    the polynomial summed over all partial assignments that use them.
+    Assigning a row to column y passes over the columns above y that
+    earlier rows took, one inversion each, so the sign flips when their
+    count is odd.  Zero coefficients are dropped at every layer.  That is
+    O(2^k * k) polynomial steps for a core of side k, where a row expansion
+    takes k!.
     """
-    t = _square_size(b, "symbolic determinant")
-    n_colors = len(b.colors)
-    width = t.bit_length()
-    row_edges: list[list[tuple[int, int]]] = [[] for _ in range(t)]
-    for xi, yi, c in b.edges:
-        row_edges[xi].append((yi, 1 << width * c))
-    layer: dict[int, dict[int, int]] = {0: {0: 1}}
-    for edges in row_edges:
+    t = len(rows)
+    width = t.bit_length()  # the degree is t, so no exponent exceeds t
+    row_cols = [0] * t
+    col_rows = [0] * t
+    for i, row in enumerate(rows):
+        for j in row[::2]:
+            row_cols[i] |= 1 << j
+            col_rows[j] |= 1 << i
+    live_rows = live_cols = pending_rows = pending_cols = (1 << t) - 1
+    sign, factor = 1, 0
+    while pending_rows or pending_cols:
+        if pending_rows:
+            low = pending_rows & -pending_rows
+            pending_rows ^= low
+            i = low.bit_length() - 1
+            line = row_cols[i] & live_cols
+            if line & (line - 1):
+                continue
+            j = line.bit_length() - 1
+        else:
+            low = pending_cols & -pending_cols
+            pending_cols ^= low
+            j = low.bit_length() - 1
+            line = col_rows[j] & live_rows
+            if line & (line - 1):
+                continue
+            i = line.bit_length() - 1
+        if not line:
+            return width, {}
+        above = (live_rows & ((1 << i) - 1)).bit_count() + (live_cols & ((1 << j) - 1)).bit_count()
+        if above & 1:
+            sign = -sign
+        # the row's pairs are in column order, so j's pair is its rank there
+        factor += 1 << width * rows[i][2 * (row_cols[i] & ((1 << j) - 1)).bit_count() + 1]
+        live_rows ^= 1 << i
+        live_cols ^= 1 << j
+        pending_rows = (pending_rows | col_rows[j]) & live_rows
+        pending_cols = (pending_cols | row_cols[i]) & live_cols
+    position = {j: k for k, j in enumerate(j for j in range(t) if live_cols >> j & 1)}
+    layer: dict[int, dict[int, int]] = {0: {factor: sign}}
+    for i in range(t):
+        if not live_rows >> i & 1:
+            continue
+        row = rows[i]
+        edges = [
+            (position[j], 1 << width * c)
+            for j, c in zip(row[::2], row[1::2])
+            if live_cols >> j & 1
+        ]
         nxt: dict[int, dict[int, int]] = {}
         for used, poly in layer.items():
             for yi, step in edges:
                 if used >> yi & 1:
                     continue
-                sign = -1 if (used >> yi).bit_count() & 1 else 1
+                flip = -1 if (used >> yi).bit_count() & 1 else 1
                 acc = nxt.setdefault(used | 1 << yi, {})
                 for key, coeff in poly.items():
-                    acc[key + step] = acc.get(key + step, 0) + sign * coeff
+                    acc[key + step] = acc.get(key + step, 0) + flip * coeff
         layer = {}
         for used, poly in nxt.items():
             poly = {key: coeff for key, coeff in poly.items() if coeff}
             if poly:
                 layer[used] = poly
+        if not layer:
+            return width, {}
+    (terms,) = layer.values()
+    return width, terms
+
+
+def symbolic_det(b: ColoredBipartite) -> DetPolynomial:
+    """Determinant of the pattern matrix, expanded over the color variables
+    (see :func:`_det_terms`)."""
+    t = _square_size(b, "symbolic determinant")
+    rows: list[list[int]] = [[] for _ in range(t)]
+    for xi, yi, c in b.edges:
+        rows[xi] += (yi, c)
+    width, packed = _det_terms(rows)
     field = (1 << width) - 1
     terms = sorted(
-        (tuple(key >> width * c & field for c in range(n_colors)), coeff)
-        for poly in layer.values()
-        for key, coeff in poly.items()
+        (tuple(key >> width * c & field for c in range(len(b.colors))), coeff)
+        for key, coeff in packed.items()
     )
-    return DetPolynomial(n_colors=n_colors, terms=tuple(terms))
+    return DetPolynomial(n_colors=len(b.colors), terms=tuple(terms))
 
 
 @lru_cache(maxsize=1 << 16)
-def _nonsingularity(b: ColoredBipartite) -> int | None:
+def slice_signature(key: SliceKey) -> int | None:
     """The determinant's coefficient when it is a single monomial, else None
-    (stored coefficients are never zero)."""
-    terms = symbolic_det(b).terms
-    return terms[0][1] if len(terms) == 1 else None
+    (stored coefficients are never zero), for a slice given by its key.
+
+    Renumbering colors changes neither the number of terms nor their
+    coefficients, and the key keeps the row and column order, so equal keys
+    have equal answers whatever vertices and color names they came from.
+    """
+    if len(key) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"symbolic determinant capped at {ENUMERATION_CAP}, got {len(key)}"
+        )
+    _, terms = _det_terms(key)
+    return next(iter(terms.values())) if len(terms) == 1 else None
 
 
 def pattern_nonsingular(b: ColoredBipartite) -> bool:
@@ -278,10 +370,11 @@ def pattern_nonsingular(b: ColoredBipartite) -> bool:
     exactly one equal-spectrum class of perfect matchings has a nonzero
     signature.
     """
-    return _nonsingularity(b) is not None
+    return certifying_signature(b) is not None
 
 
 def certifying_signature(b: ColoredBipartite) -> int | None:
     """The unique nonzero class signature (the determinant's only
     coefficient), or None when not nonsingular."""
-    return _nonsingularity(b)
+    _square_size(b, "symbolic determinant")
+    return slice_signature(b.slice_key())

@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forcing", help="zero-forcing-set test or greedy derivation")
     _common_flags(p)
     p.add_argument("--greedy", action="store_true", help="greedy derivation, no backtracking")
-    p.add_argument("--max-source", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("eeo-derive", help="edge-operations derivation procedure")
     _common_flags(p)
@@ -206,12 +205,12 @@ def _cmd_forcing(args) -> int:
         raise NoLeadersError("forcing analysis requires a leader set in the file")
     black = g.leader_mask
     if args.greedy:
-        trace = derived_set_greedy(g, black, max_source=args.max_source)
+        trace = derived_set_greedy(g, black)
         payload = {"mode": "greedy", "zero_forcing": trace.final == g.full_mask}
         payload.update(derivation_to_jsonable(trace))
         lines = [f"greedy derived set: {list(vset_labels(trace.final))}"]
     else:
-        ok, witness = is_zero_forcing_set(g, black, args.max_source)
+        ok, witness = is_zero_forcing_set(g, black)
         payload = {"mode": "exhaustive", "zero_forcing": ok}
         lines = [f"zero forcing set: {ok}"]
         if witness is not None:

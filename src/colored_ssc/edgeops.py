@@ -11,7 +11,9 @@ original leader set.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .forcing import (
     DEFAULT_CONFIG,
@@ -159,6 +161,48 @@ def apply_op(g: ColoredDigraph, op: EdgeOp) -> ColoredDigraph:
     return apply_remove_edges(g, op.u, op.v, op.context)
 
 
+@lru_cache(maxsize=1 << 16)
+def _edge_key(tail: int, head: int, name: str) -> int:
+    """Deterministic 128-bit Zobrist key of one edge, keyed by color name so
+    that the palette renumbering of :func:`_rebuild` does not change it."""
+    return random.Random(f"{tail} {head} {name}").getrandbits(128)
+
+
+StageKey = tuple[int, frozenset[str], int]
+
+
+def stage_key(g: ColoredDigraph, black: int) -> StageKey:
+    """What the search below a stage (g, black) can read.
+
+    That is the black set, the color names on edges into it (those edges
+    never change below the stage, and their colors stay in the palette that
+    recoloring may target) and the XOR of the edge keys of every edge whose
+    head is outside it.
+    """
+    names = set()
+    code = 0
+    for tail, head, color in g.edges:
+        if black >> head & 1:
+            names.add(g.colors[color])
+        else:
+            code ^= _edge_key(tail, head, g.colors[color])
+    return black, frozenset(names), code
+
+
+def op_delta(g: ColoredDigraph, op: EdgeOp) -> int:
+    """How ``op`` changes the edge hash of :func:`stage_key` at its context:
+    the XOR of the keys of the fan edges it recolors or deletes."""
+    white = white_out_neighbors(g, 1 << op.u, op.context)
+    tail = op.u if isinstance(op, TurnColor) else op.v
+    delta = 0
+    for head, color in g.out_edges[tail]:
+        if white >> head & 1:
+            delta ^= _edge_key(tail, head, g.colors[color])
+            if isinstance(op, TurnColor):
+                delta ^= _edge_key(tail, head, g.colors[op.new_color])
+    return delta
+
+
 def find_edge_ops(g: ColoredDigraph, black: int) -> list[EdgeOp]:
     """All effective operations at ``black``: removals first, then recolorings.
 
@@ -244,17 +288,26 @@ def eeo_derived_set(
 
     Each stage first searches force derivations; if none reaches V the
     search branches over every maximal derived set and every applicable
-    operation on it, depth first, memoizing (graph, black set) states.
-    The root stage is the zero-forcing test of ``black``.  Returns the
-    trace with the largest final black set found, preferring complete ones;
-    an exhausted budget of stages (the root one included) flags the trace
-    instead of raising.  A budget below 1 raises ValueError.
+    operation on it, depth first.  The root stage is the zero-forcing test
+    of ``black``.  Returns the trace with the largest final black set
+    found, preferring complete ones; an exhausted budget of stages (the
+    root one included) flags the trace instead of raising.  A budget below
+    1 raises ValueError.
+
+    Stages are memoized on :func:`stage_key`, all a stage's subtree can
+    read; an operation updates the key's edge hash by :func:`op_delta`, and
+    a stage graph is built only when its key is new.  A repeated key is
+    either an ancestor, then the same graph, or a finished stage, whose
+    subtree found no certificate and no larger set, so skipping it changes
+    nothing but the work; the budget counts distinct stages.  A hash
+    collision can only skip a stage, never admit a certificate: every
+    certificate replays.
     """
     limit = config.eeo_budget if budget is None else budget
     if limit < 1:
         raise ValueError(f"edge-operation budget must be >= 1, got {limit}")
     states = 0
-    memo: set[tuple[ColoredDigraph, int]] = set()
+    memo: set[StageKey] = set()
     best: EeoTrace | None = None
 
     def consider(candidate: EeoTrace) -> None:
@@ -280,15 +333,15 @@ def eeo_derived_set(
         stuck.sort(key=lambda d: (-d.final.bit_count(), d.final))
         for derivation in stuck:
             consider(EeoTrace(graphs + (graph,), derivations + (derivation,), ops))
-            for op in find_edge_ops(graph, derivation.final):
-                derived = apply_op(graph, op)
-                state = (derived, derivation.final)
-                if state in memo:
+            final, names, code = stage_key(graph, derivation.final)
+            for op in find_edge_ops(graph, final):
+                key = (final, names, code ^ op_delta(graph, op))
+                if key in memo:
                     continue
-                memo.add(state)
+                memo.add(key)
                 result = dfs(
-                    derived,
-                    derivation.final,
+                    apply_op(graph, op),
+                    final,
                     graphs + (graph,),
                     derivations + (derivation,),
                     ops + (op,),
@@ -297,7 +350,7 @@ def eeo_derived_set(
                     return result
         return None
 
-    memo.add((g, black))
+    memo.add(stage_key(g, black))
     result = dfs(g, black, (), (), ())
     if result is not None:
         return result

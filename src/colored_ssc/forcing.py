@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bipartite import certifying_signature
-from .graph import (
-    ColoredDigraph,
-    induced_bipartite,
-    iter_vset,
-    vset_labels,
-    white_out_neighbors,
-)
+from .bipartite import slice_signature
+from .graph import ColoredDigraph, iter_vset, slice_key, vset_labels, white_out_neighbors
+# Unused here; kept bound because perfbench/tracing.py wraps these names.
+from .bipartite import certifying_signature  # noqa: F401
+from .graph import induced_bipartite  # noqa: F401
 
 
 class SearchBoundExceededError(RuntimeError):
@@ -36,8 +33,8 @@ class SearchConfig:
     Candidates are the black vertices with a white out-neighbor, so any
     black set up to the cap is always enumerated in full.  Beyond the
     budget the exhaustive search refuses (greedy callers may truncate
-    instead).  ``eeo_budget`` caps the number of states the edge-operation
-    search expands.
+    instead).  ``eeo_budget`` caps the number of distinct stages the
+    edge-operation search expands.
     """
 
     max_source_cap: int = 12
@@ -96,7 +93,7 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
     target = white_out_neighbors(g, source, black)
     if not target or target.bit_count() != source.bit_count():
         return None
-    signature = certifying_signature(induced_bipartite(g, source, black))
+    signature = slice_signature(slice_key(g, source, target))
     if signature is None:
         return None
     return Force(source=source, target=target, class_signature=signature)
@@ -105,7 +102,6 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
 def _source_domain(
     g: ColoredDigraph,
     black: int,
-    max_source: int | None,
     config: SearchConfig,
     allow_truncation: bool,
 ) -> tuple[list[tuple[int, int]], int, bool]:
@@ -125,8 +121,6 @@ def _source_domain(
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
     limit = min(len(candidates), white.bit_count())
-    if max_source is not None:
-        limit = min(limit, max_source)
     budget = (1 << config.max_source_cap) - 1
     subsets = 0
     for size in range(1, limit + 1):
@@ -144,7 +138,6 @@ def _source_domain(
 def find_forces(
     g: ColoredDigraph,
     black: int,
-    max_source: int | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
     allow_truncation: bool = False,
 ) -> list[Force]:
@@ -153,12 +146,12 @@ def find_forces(
     Sources are ordered by increasing size, lexicographically within a
     size, so the returned order is reproducible.  Only sources that can
     force are enumerated: subsets of the black vertices with a white
-    out-neighbor, no larger than the white set (or ``max_source``).  When
-    those subsets number more than ``2**config.max_source_cap - 1``, the
-    call raises :class:`SearchBoundExceededError`, or with
-    ``allow_truncation`` keeps the largest source size whose subsets fit.
+    out-neighbor, no larger than the white set.  When those subsets number
+    more than ``2**config.max_source_cap - 1``, the call raises
+    :class:`SearchBoundExceededError`, or with ``allow_truncation`` keeps
+    the largest source size whose subsets fit.
     """
-    candidates, limit, _ = _source_domain(g, black, max_source, config, allow_truncation)
+    candidates, limit, _ = _source_domain(g, black, config, allow_truncation)
     return _forces_from(g, black, candidates, limit)
 
 
@@ -182,7 +175,7 @@ def _forces_from(
             if width > min(limit, size + last - i):
                 continue
             if width == size:
-                signature = certifying_signature(induced_bipartite(g, x, black))
+                signature = slice_signature(slice_key(g, x, y))
                 if signature is not None:
                     forces.append(Force(source=x, target=y, class_signature=signature))
             if size < limit:
@@ -198,7 +191,6 @@ def _forces_from(
 def derived_set_greedy(
     g: ColoredDigraph,
     black: int,
-    max_source: int | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> DerivationTrace:
     """Apply the first force of each step until none remain; no backtracking.
@@ -213,7 +205,7 @@ def derived_set_greedy(
     steps: list[Force] = []
     truncated = False
     while True:
-        candidates, limit, cut = _source_domain(g, black, max_source, config, allow_truncation=True)
+        candidates, limit, cut = _source_domain(g, black, config, allow_truncation=True)
         truncated |= cut
         forces = _forces_from(g, black, candidates, limit)
         if not forces:
@@ -226,7 +218,6 @@ def derived_set_greedy(
 def derivation_outcomes(
     g: ColoredDigraph,
     black: int,
-    max_source: int | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
     """Backtracking search over force choices.
@@ -247,7 +238,7 @@ def derivation_outcomes(
             return True
         if black in dead:
             return False
-        forces = find_forces(g, black, max_source, config)
+        forces = find_forces(g, black, config)
         if not forces:
             stuck.append(DerivationTrace(initial=start, steps=tuple(path), final=black))
             dead.add(black)
@@ -269,9 +260,8 @@ def derivation_outcomes(
 def is_zero_forcing_set(
     g: ColoredDigraph,
     black: int,
-    max_source: int | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> tuple[bool, DerivationTrace | None]:
     """Whether some chronological list of forces colors every vertex black."""
-    witness, _ = derivation_outcomes(g, black, max_source, config)
+    witness, _ = derivation_outcomes(g, black, config)
     return (witness is not None), witness

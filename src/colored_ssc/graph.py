@@ -152,6 +152,14 @@ class ColoredDigraph:
     def edge_color(self) -> dict[tuple[int, int], int]:
         return {(t, h): c for t, h, c in self.edges}
 
+    @cached_property
+    def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, its ``(head, color)`` pairs in head order."""
+        fans: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for tail, head, color in self.edges:
+            fans[tail].append((head, color))
+        return tuple(map(tuple, fans))
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -208,6 +216,28 @@ def induced_bipartite(g: ColoredDigraph, source: int, black: int):
         colors=tuple(g.colors[c] for c in present),
         color_map=tuple(present),
     )
+
+
+def slice_key(g: ColoredDigraph, source: int, target: int) -> tuple[tuple[int, ...], ...]:
+    """The colored slice from ``source`` into ``target``, as the key that
+    :func:`colored_ssc.bipartite.slice_signature` tests.
+
+    One row per source vertex in vertex order, holding flat ``(column,
+    color)`` pairs in column order: the column is the head's position
+    within ``target``, and colors are renumbered by first appearance.  It
+    equals ``induced_bipartite(g, source, black).slice_key()`` when
+    ``target`` is the white out-neighbor set of ``source`` at ``black``.
+    """
+    relabel: dict[int, int] = {}
+    rows = []
+    for v in iter_vset(source):
+        row: list[int] = []
+        for head, color in g.out_edges[v]:
+            if target >> head & 1:
+                row.append((target & ((1 << head) - 1)).bit_count())
+                row.append(relabel.setdefault(color, len(relabel)))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

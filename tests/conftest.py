@@ -1,8 +1,9 @@
 """Shared helpers: label conversions, corpus access, random generators,
 and the reference routes the production code is checked against (all-subsets
-force enumeration, matching classes, the classic forcing rule, numeric
-realizations of slice patterns, the Kalman rank test, zero extension solved
-from scratch each round)."""
+force enumeration, matching classes, the determinant without peeling, the
+classic forcing rule, the edge-operation search memoized on exact states,
+numeric realizations of slice patterns, the Kalman rank test, zero extension
+solved from scratch each round)."""
 
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ from colored_ssc import (
 )
 from colored_ssc.bipartite import ColoredBipartite
 from colored_ssc.corpus import load as load_fig
+from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
+from colored_ssc.forcing import derivation_outcomes
 from colored_ssc.graph import iter_vset
 from colored_ssc.oracle import NULLSPACE_REL_TOL
 
@@ -125,13 +128,14 @@ def chain_digraph(rng: np.random.Generator, n: int, twins: bool) -> ColoredDigra
 
 
 def all_subsets_forces(
-    g: ColoredDigraph, black: int, max_source: int | None = None
+    g: ColoredDigraph, black: int, max_size: int | None = None
 ) -> list[Force]:
-    """Reference force list: every subset of the black set, by size then
-    lexicographically, tested with the color change rule.  No pruning and
-    no cap, so ``find_forces`` can be checked against it."""
+    """Reference force list: every subset of the black set with at most
+    ``max_size`` members, by size then lexicographically, tested with the
+    color change rule.  No pruning and no cap, so ``find_forces`` can be
+    checked against it."""
     members = vset_members(black)
-    limit = len(members) if max_source is None else min(max_source, len(members))
+    limit = len(members) if max_size is None else min(max_size, len(members))
     forces = []
     for size in range(1, limit + 1):
         for subset in combinations(members, size):
@@ -188,6 +192,95 @@ def class_term_map(b: ColoredBipartite) -> dict[tuple[int, ...], int]:
         for c in equivalence_classes(enumerate_matchings(b))
         if c.signature
     }
+
+
+def reference_symbolic_det(b: ColoredBipartite) -> DetPolynomial:
+    """The determinant by subset dynamic programming over every row, with
+    no peeling: the route the production determinant is checked against.
+
+    Each state maps the set of Y columns used so far to the polynomial
+    summed over all partial assignments that use them; assigning row x to
+    column y flips the sign once per column above y taken earlier.
+    """
+    t = len(b.x_vertices)
+    assert t == len(b.y_vertices)
+    n_colors = len(b.colors)
+    width = t.bit_length()
+    row_edges: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+    for xi, yi, c in b.edges:
+        row_edges[xi].append((yi, 1 << width * c))
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    for edges in row_edges:
+        nxt: dict[int, dict[int, int]] = {}
+        for used, poly in layer.items():
+            for yi, step in edges:
+                if used >> yi & 1:
+                    continue
+                sign = -1 if (used >> yi).bit_count() & 1 else 1
+                acc = nxt.setdefault(used | 1 << yi, {})
+                for key, coeff in poly.items():
+                    acc[key + step] = acc.get(key + step, 0) + sign * coeff
+        layer = {}
+        for used, poly in nxt.items():
+            poly = {key: coeff for key, coeff in poly.items() if coeff}
+            if poly:
+                layer[used] = poly
+    field = (1 << width) - 1
+    terms = sorted(
+        (tuple(key >> width * c & field for c in range(n_colors)), coeff)
+        for poly in layer.values()
+        for key, coeff in poly.items()
+    )
+    return DetPolynomial(n_colors=n_colors, terms=tuple(terms))
+
+
+def reference_eeo_derived_set(
+    g: ColoredDigraph, black: int, budget: int
+) -> tuple[EeoTrace, int]:
+    """The edge-operation search memoized on exact (graph, black set)
+    states, and the number of stages it expanded.  Every operation's graph
+    is built, and a state is expanded again whenever its graph differs.
+    Same order and same choice of the best trace as the production search,
+    which memoizes on stage keys."""
+    states = 0
+    memo: set[tuple[ColoredDigraph, int]] = {(g, black)}
+    best: EeoTrace | None = None
+
+    def dfs(graph, current, graphs, derivations, ops):
+        nonlocal states, best
+        states += 1
+        if states > budget:
+            return None
+        witness, stuck = derivation_outcomes(graph, current)
+        if witness is not None:
+            return EeoTrace(graphs + (graph,), derivations + (witness,), ops)
+        stuck.sort(key=lambda d: (-d.final.bit_count(), d.final))
+        for derivation in stuck:
+            if best is None or derivation.final.bit_count() > best.final.bit_count():
+                best = EeoTrace(graphs + (graph,), derivations + (derivation,), ops)
+            for op in find_edge_ops(graph, derivation.final):
+                derived = apply_op(graph, op)
+                if (derived, derivation.final) in memo:
+                    continue
+                memo.add((derived, derivation.final))
+                result = dfs(
+                    derived,
+                    derivation.final,
+                    graphs + (graph,),
+                    derivations + (derivation,),
+                    ops + (op,),
+                )
+                if result is not None:
+                    return result
+        return None
+
+    result = dfs(g, black, (), (), ())
+    if result is not None:
+        return result, states
+    assert best is not None
+    if states > budget:
+        return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True), states
+    return best, states
 
 
 def classic_derived_set(g: ColoredDigraph, black: int) -> int:

@@ -27,6 +27,7 @@ from conftest import (
     labels,
     pattern_matrix,
     random_bipartite,
+    reference_symbolic_det,
     sample_color_values,
     standalone_bipartite,
 )
@@ -208,3 +209,51 @@ class TestAgainstRealizations:
             assert np.all(np.abs(values) > 1e-8)
             scale = max(1.0, float(np.max(np.abs(values))) ** len(b.x_vertices))
             assert abs(np.linalg.det(pattern_matrix(b, values))) < 1e-6 * scale
+
+
+def _peel_heavy(rng: np.random.Generator, t: int, k: int):
+    """A permutation pattern plus a few extra cells: mostly peels away."""
+    cells = {(x, int(y)) for x, y in enumerate(rng.permutation(t))}
+    cells |= {(x, y) for x in range(t) for y in range(t) if rng.random() < 0.12}
+    return standalone_bipartite(t, [(x, y, int(rng.integers(0, k))) for x, y in sorted(cells)], k)
+
+
+class TestPeeling:
+    """The determinant peels rows and columns with one entry before the
+    subset DP; the unpeeled DP is the reference."""
+
+    def test_triangular_is_the_diagonal(self):
+        # upper triangular with colors c1, c2, c3 on the diagonal
+        edges = [(x, y, x if x == y else 3) for x in range(3) for y in range(x, 3)]
+        det = symbolic_det(standalone_bipartite(3, edges, 4))
+        assert det.term_map == {(1, 1, 1, 0): 1}
+
+    def test_sign_of_a_peeled_entry(self):
+        # [[0, c1], [c2, c3]]: row 0 peels at column 1, sign (-1)^(0+1)
+        det = symbolic_det(standalone_bipartite(2, [(0, 1, 0), (1, 0, 1), (1, 1, 2)], 3))
+        assert det.term_map == {(1, 1, 0): -1}
+
+    def test_peeling_empties_a_row(self):
+        # column 0 peels row 0, which leaves rows 1 and 2 on column 2 alone
+        edges = [(0, 0, 0), (0, 1, 0), (1, 2, 0), (2, 2, 0)]
+        assert symbolic_det(standalone_bipartite(3, edges, 1)).is_zero()
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["peel-heavy", "dense"])
+    def test_matches_unpeeled_reference(self, dense):
+        rng = np.random.default_rng(61 + dense)
+        for _ in range(25 if dense else 200):
+            t = int(rng.integers(1, 11))
+            k = int(rng.integers(1, 4))
+            if dense:
+                b = standalone_bipartite(
+                    t,
+                    [(x, y, int(rng.integers(0, k))) for x in range(t) for y in range(t)
+                     if rng.random() < 0.7],
+                    k,
+                )
+            else:
+                b = _peel_heavy(rng, t, k)
+            det = symbolic_det(b)
+            assert det == reference_symbolic_det(b)
+            single = det.terms[0][1] if len(det.terms) == 1 else None
+            assert certifying_signature(b) == single

@@ -99,6 +99,7 @@ class TestUsage:
         [
             ("check", "--bogus"),
             ("check", "--max-source", "2"),
+            ("forcing", "--max-source", "1"),
             ("oracle", "--tolerance", "1e-9"),
         ],
     )
@@ -114,9 +115,9 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["forcing", "fig2", "--max-source", "0"], "--max-source"),
-            (["forcing", "fig2", "--max-source", "-1"], "--max-source"),
-            (["forcing", "fig2", "--greedy", "--max-source", "0"], "--max-source"),
+            (["forcing", "fig2", "--seed", "-1"], "--seed"),
+            (["forcing", "fig2", "--greedy", "--seed", "-1"], "--seed"),
+            (["bipartite", "fig3", "--x", "1", "--seed", "-2"], "--seed"),
             (["check", "fig5", "--budget", "-3"], "--budget"),
             (["eeo-derive", "fig5", "--budget", "0"], "--budget"),
             (["export-dot", "fig5", "--stage", "1", "--budget", "0"], "--budget"),

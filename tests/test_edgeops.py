@@ -22,6 +22,7 @@ from colored_ssc import (
 from colored_ssc import forcing
 from colored_ssc.analysis import analyze
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
+from colored_ssc import edgeops, validate, vset
 from colored_ssc.edgeops import (
     ColorMismatchError,
     EdgeOpError,
@@ -31,10 +32,36 @@ from colored_ssc.edgeops import (
     SameColorError,
     UnknownColorError,
     apply_op,
+    op_delta,
+    stage_key,
 )
 from colored_ssc.oracle import Realization, weighted_adjacency
 
-from conftest import labels, members1, random_digraph
+from conftest import labels, members1, random_digraph, reference_eeo_derived_set
+
+# forcing-scale seed 9 graph 501 of perfbench/workloads.py (n = 18, 3 colors):
+# its search ends UNDECIDED by exhausting the space.  Memoized on exact
+# (graph, black set) states it expands 4,698 stages.
+FS_SEED9_501 = {
+    "n": 18,
+    "colors": ["c1", "c2", "c3"],
+    "edges": [
+        [1, 4, 3], [1, 7, 3], [1, 12, 3], [1, 13, 3], [1, 17, 3], [1, 18, 1], [2, 3, 1],
+        [2, 4, 3], [2, 5, 1], [2, 7, 1], [2, 8, 3], [2, 9, 1], [2, 12, 1], [2, 15, 3],
+        [3, 4, 2], [3, 5, 3], [3, 7, 3], [3, 13, 2], [3, 16, 2], [3, 17, 2], [4, 5, 1],
+        [4, 14, 1], [4, 15, 3], [5, 7, 2], [5, 12, 2], [5, 13, 2], [5, 18, 2], [6, 5, 1],
+        [6, 11, 1], [6, 16, 3], [7, 1, 2], [7, 10, 3], [7, 11, 3], [7, 13, 3], [7, 14, 2],
+        [8, 11, 3], [8, 13, 3], [8, 14, 3], [9, 1, 3], [9, 10, 3], [9, 11, 3], [10, 9, 2],
+        [10, 12, 3], [10, 15, 1], [11, 9, 1], [11, 10, 1], [11, 14, 3], [11, 18, 3],
+        [12, 1, 2], [12, 7, 2], [12, 13, 1], [12, 16, 2], [13, 1, 1], [13, 3, 1],
+        [13, 14, 1], [13, 18, 2], [14, 3, 3], [14, 8, 1], [14, 9, 2], [14, 10, 2],
+        [14, 11, 2], [14, 16, 3], [14, 18, 3], [15, 5, 3], [15, 6, 2], [15, 7, 3],
+        [15, 12, 1], [15, 14, 3], [16, 5, 2], [16, 9, 2], [16, 12, 1], [16, 17, 1],
+        [17, 2, 3], [17, 4, 1], [17, 6, 3], [17, 7, 1], [17, 10, 2], [17, 11, 1],
+        [17, 14, 2], [18, 5, 2], [18, 12, 1], [18, 16, 3],
+    ],
+    "leaders": [1, 2, 3, 4, 6, 8, 12, 15, 18],
+}
 
 
 def edge_labels(edges):
@@ -214,6 +241,85 @@ class TestEeoDerivation:
             black = derivation.final
             if i < len(trace.ops):
                 assert trace.ops[i].context == black
+
+
+class TestStageMemo:
+    """The search memoizes stages on what their subtree can read."""
+
+    def test_incremental_key_matches_rebuilt_graph(self):
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(300):
+            g = random_digraph(rng, n_max=10, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            _, names, code = stage_key(g, black)
+            for op in find_edge_ops(g, black):
+                assert stage_key(apply_op(g, op), black) == (black, names, code ^ op_delta(g, op))
+                checked += 1
+        assert checked > 300
+
+    def test_key_ignores_palette_numbering(self):
+        # c1 empties when vertex 1's fan turns c2, so the palette renumbers
+        g = ColoredDigraph(n=3, edges=((0, 1, 0), (0, 2, 0), (1, 2, 1)), colors=("c1", "c2"))
+        derived = apply_turn_color(g, 0, 1, labels(1))
+        assert derived.colors == ("c2",)
+        op = TurnColor(u=0, new_color=1, context=labels(1))
+        assert stage_key(derived, labels(1))[2] == stage_key(g, labels(1))[2] ^ op_delta(g, op)
+
+    def test_key_tells_palettes_apart(self):
+        # the same edges outside C = {1, 2}, but the edge into C names the
+        # color that vertex 1's fan may turn to
+        g1 = ColoredDigraph(n=3, edges=((0, 1, 0), (0, 2, 1)), colors=("a", "b"))
+        g2 = ColoredDigraph(n=3, edges=((0, 1, 1), (0, 2, 0)), colors=("b", "c"))
+        black = labels(1, 2)
+        assert stage_key(g1, black)[2] == stage_key(g2, black)[2]
+        assert stage_key(g1, black) != stage_key(g2, black)
+        assert [op.describe(g1) for op in find_edge_ops(g1, black)] == ["turn-color u=1 to a"]
+        assert [op.describe(g2) for op in find_edge_ops(g2, black)] == ["turn-color u=1 to c"]
+
+    def test_matches_exact_state_search(self, monkeypatch):
+        stages = []
+        original = edgeops.derivation_outcomes
+
+        def counting(graph, black, *args, **kwargs):
+            stages.append(black)
+            return original(graph, black, *args, **kwargs)
+
+        monkeypatch.setattr(edgeops, "derivation_outcomes", counting)
+        rng = np.random.default_rng(5)
+        exhausted = finished = deduplicated = 0
+        for trial in range(400):
+            g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
+            black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
+            budget = (1, 4, 30, 300)[trial % 4]
+            want, reference_stages = reference_eeo_derived_set(g, black, budget)
+            stages.clear()
+            got = eeo_derived_set(g, black, budget=budget)
+            if want.budget_exhausted:
+                exhausted += 1
+                assert got.replay_ok()
+                assert got.final.bit_count() >= want.final.bit_count()
+            else:
+                finished += 1
+                assert got == want
+                # a stage key repeated with another graph was expanded once
+                deduplicated += len(stages) < reference_stages
+        assert exhausted > 10 and finished > 10 and deduplicated > 0
+
+    def test_stages_counted_once(self, monkeypatch):
+        g = validate(FS_SEED9_501)
+        stages = []
+        original = edgeops.derivation_outcomes
+
+        def counting(graph, black, *args, **kwargs):
+            stages.append(black)
+            return original(graph, black, *args, **kwargs)
+
+        monkeypatch.setattr(edgeops, "derivation_outcomes", counting)
+        trace = eeo_derived_set(g, g.leader_mask)
+        assert len(stages) == 486
+        assert not trace.complete and not trace.budget_exhausted
+        assert trace.replay_ok()
 
 
 class TestAnalyze:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -20,8 +21,12 @@ from colored_ssc import (
     weighted_adjacency,
     zero_extension_derived_set,
 )
+from colored_ssc import enumerate_matchings, equivalence_classes, induced_bipartite
+from colored_ssc import vset, white_out_neighbors
+from colored_ssc.bipartite import slice_signature
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.forcing import SearchBoundExceededError, SearchConfig
+from colored_ssc.graph import iter_vset, slice_key
 
 from conftest import all_subsets_forces, classic_derived_set, labels, members1, random_digraph
 
@@ -37,11 +42,11 @@ def _private_targets(k: int, n: int = 62) -> ColoredDigraph:
     return ColoredDigraph(n=n, edges=tuple((v, k + v, 0) for v in range(k)), colors=("c1",))
 
 
-def _fitting_size(g: ColoredDigraph, black: int, max_source: int | None, cap: int) -> int:
+def _fitting_size(g: ColoredDigraph, black: int, cap: int) -> int:
     """Largest source size whose candidate subsets number at most 2**cap - 1."""
     white = g.full_mask & ~black
     c = sum(1 for v in range(g.n) if black >> v & 1 and g.out_masks[v] & white)
-    limit = min(c, white.bit_count(), c if max_source is None else max_source)
+    limit = min(c, white.bit_count())
     size = 0
     while size < limit and sum(comb(c, k) for k in range(1, size + 2)) < 1 << cap:
         size += 1
@@ -72,7 +77,7 @@ class TestIsColorPerfect:
 class TestFindForces:
     def test_fig4(self):
         g = load_fig("fig4")
-        forces = find_forces(g, labels(1, 2, 3), max_source=3)
+        forces = find_forces(g, labels(1, 2, 3))
         assert [(members1(f.source), members1(f.target)) for f in forces] == [
             ((1, 2, 3), (4, 5, 6))
         ]
@@ -133,15 +138,19 @@ class TestFindForces:
         for trial in range(500):
             g = random_digraph(rng, n_max=9, with_leaders=False)
             black = int(rng.integers(1, g.full_mask + 1))
-            max_source = (None, None, 1, 2, 3)[trial % 5]
             if trial % 3:
-                got = find_forces(g, black, max_source)
-                want = all_subsets_forces(g, black, max_source)
+                max_size = (None, None, 1, 2, 3)[trial % 5]
+                got = [
+                    f
+                    for f in find_forces(g, black)
+                    if max_size is None or f.source.bit_count() <= max_size
+                ]
+                want = all_subsets_forces(g, black, max_size)
             else:
                 cap = int(rng.integers(2, 7))
                 config = SearchConfig(max_source_cap=cap)
-                got = find_forces(g, black, max_source, config, allow_truncation=True)
-                want = all_subsets_forces(g, black, _fitting_size(g, black, max_source, cap))
+                got = find_forces(g, black, config, allow_truncation=True)
+                want = all_subsets_forces(g, black, _fitting_size(g, black, cap))
             assert got == want
 
     def test_small_cap_config(self):
@@ -252,7 +261,8 @@ class TestSpecialization:
             black = int(rng.integers(1, g.full_mask + 1))
             singles = {
                 members1(f.source)[0]: f.target
-                for f in find_forces(g, black, max_source=1)
+                for f in find_forces(g, black)
+                if f.source.bit_count() == 1
             }
             for v in range(g.n):
                 white = g.out_masks[v] & ~black
@@ -332,3 +342,44 @@ class TestOracleAgreement:
                 after = zero_extension_derived_set(w, black | force.target).final
                 assert before == after
                 assert force.target & ~before == 0
+
+
+class TestSliceKey:
+    """The force search reads each slice from the graph as a compact key."""
+
+    def test_matches_matching_classes(self):
+        rng = np.random.default_rng(71)
+        tested, nonsingular = 0, 0
+        for _ in range(400):
+            g = random_digraph(rng, n_min=2, n_max=12, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            white = g.full_mask & ~black
+            candidates = [v for v in iter_vset(black) if g.out_masks[v] & white][:8]
+            for size in range(1, len(candidates) + 1):
+                for subset in combinations(candidates, size):
+                    source = vset(subset)
+                    target = white_out_neighbors(g, source, black)
+                    if target.bit_count() != size:
+                        continue
+                    key = slice_key(g, source, target)
+                    b = induced_bipartite(g, source, black)
+                    assert key == b.slice_key()
+                    signatures = [
+                        c.signature
+                        for c in equivalence_classes(enumerate_matchings(b))
+                        if c.signature
+                    ]
+                    want = signatures[0] if len(signatures) == 1 else None
+                    assert slice_signature.__wrapped__(key) == want
+                    assert slice_signature(key) == want
+                    tested += 1
+                    nonsingular += want is not None
+        assert tested > 1500 and 0 < nonsingular < tested
+
+    def test_key_forgets_vertices_and_color_names(self):
+        # the same 2x2 pattern on other vertices and other color names
+        g1 = ColoredDigraph(n=4, edges=((0, 2, 0), (0, 3, 1), (1, 3, 0)), colors=("a", "b"))
+        g2 = ColoredDigraph(n=5, edges=((1, 3, 1), (1, 4, 0), (2, 4, 1)), colors=("x", "y"))
+        k1 = slice_key(g1, labels(1, 2), labels(3, 4))
+        k2 = slice_key(g2, labels(2, 3), labels(4, 5))
+        assert k1 == k2 == ((0, 0, 1, 1), (1, 0))
