@@ -135,18 +135,6 @@ class DetPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, values: Sequence[complex]) -> complex:
-        if len(values) != self.n_colors:
-            raise ValueError(f"expected {self.n_colors} color values, got {len(values)}")
-        total: complex = 0
-        for exponents, coeff in self.terms:
-            term: complex = coeff
-            for value, e in zip(values, exponents):
-                if e:
-                    term *= value**e
-            total += term
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -277,7 +277,15 @@ def _cmd_check(args) -> int:
         budget=args.budget,
     )
     payload = report.to_jsonable(g)
-    lines = [f"{report.graph_id}: {report.verdict} (method {report.method})"]
+    method = f"method {report.method}"
+    if report.eeo_trace is not None and report.eeo_trace.budget_exhausted:
+        method += ", budget exhausted"
+    lines = [f"{report.graph_id}: {report.verdict} ({method})"]
+    if report.oracle is not None:
+        verdict = report.oracle.to_jsonable()["verdict"]
+        if report.oracle.counterexample is not None:
+            verdict += f" at seed offset {report.oracle.seed_offset}"
+        lines.append(f"oracle: {verdict} ({report.oracle.trials} trials)")
     _emit(payload, args.json, lines)
     return EXIT_OK if report.verdict == VERDICT_CONTROLLABLE else EXIT_UNDECIDED
 

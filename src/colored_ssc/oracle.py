@@ -12,13 +12,20 @@ equation that turns out independent removes one direction by a
 Householder reflection, and each forced vertex removes its coordinate.
 When a set is not balancing, :func:`uncontrollable_witness` turns that
 basis into a diagonal that makes the pair uncontrollable.
+
+The sampled verdict runs the trials of a graph in lockstep: one stack of
+realizations, one stacked null basis, one numpy call per reflection and
+per forced-vertex test for the whole stack.  Trial 0 runs alone first,
+since a graph that is not balancing fails at a generic realization; the
+rest run in batches whose stacked arrays stay within ``BATCH_BYTES``.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +42,16 @@ log = logging.getLogger("colored_ssc.oracle")
 # equation a component of a few eps, and admitting it removes a direction
 # the solution space really has.
 NULLSPACE_REL_TOL = 1e-8
+# Both decisions compare squared norms against squared cutoffs.
+_SQUARED_TOL = NULLSPACE_REL_TOL**2
 
 # Sampled color values keep at least this magnitude.
 MIN_MAGNITUDE = 0.5
+
+# The trials of one graph run in lockstep batches.  Each stacked array of a
+# batch stays within this many bytes: the realizations W hold n * n doubles
+# per trial, the null bases at most that.
+BATCH_BYTES = 1 << 19
 
 
 class NoLeadersError(ValueError):
@@ -81,56 +95,154 @@ def sample_realization(g: ColoredDigraph, seed: int) -> Realization:
     )
 
 
+def _edge_arrays(g: ColoredDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph's edges as index arrays: tails, heads and color indices."""
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=3 * len(g.edges))
+    tails, heads, colors = flat.reshape(-1, 3).T
+    return tails, heads, colors
+
+
+def _stacked_adjacency(
+    g: ColoredDigraph,
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    realizations: list[Realization],
+) -> np.ndarray:
+    """W of each realization, stacked B x n x n, filled by one assignment."""
+    tails, heads, colors = edges
+    values = np.array(
+        [[r.color_values[name] for name in g.colors] for r in realizations], dtype=float
+    )
+    w = np.zeros((len(realizations), g.n, g.n))
+    w[:, heads, tails] = values[:, colors]
+    return w
+
+
 def weighted_adjacency(g: ColoredDigraph, r: Realization) -> np.ndarray:
     """W with the weight of edge (tail, head) stored at [head, tail]."""
-    w = np.zeros((g.n, g.n))
-    for tail, head, color in g.edges:
-        w[head, tail] = r.color_values[g.colors[color]]
-    return w
+    return _stacked_adjacency(g, _edge_arrays(g), [r])[0]
+
+
+class _Group(NamedTuple):
+    """Realizations that agree on every rank decision so far, with the
+    state they share: the zero set, its trace, the white vertices, and the
+    equations still to admit this round."""
+
+    trials: np.ndarray  # positions in the stack
+    wt: np.ndarray  # each W transposed: row j holds the equation of vertex j
+    limits: np.ndarray  # n x B x 1 x 1: squared dependence cutoff of each equation
+    basis: np.ndarray  # B x white x rows
+    white: np.ndarray
+    zero: int
+    admit: list[int]
+    steps: list[tuple[int, int]]
+
+    def _split(self, members, basis, white, zero, admit, steps) -> _Group:
+        """The members the mask selects, in a group of their own that
+        resumes from the given state."""
+        return _Group(
+            self.trials[members],
+            self.wt[members],
+            self.limits[:, members],
+            basis[members],
+            white,
+            zero,
+            admit,
+            list(steps),
+        )
 
 
 def _zero_extension(
     w: np.ndarray, zero: int
-) -> tuple[ZeroExtensionTrace, np.ndarray, np.ndarray]:
-    """Zero extension from ``zero``, with the null basis it ends on and
-    the white vertices that index its columns.
+) -> list[tuple[ZeroExtensionTrace, np.ndarray, np.ndarray]]:
+    """Zero extension from ``zero`` on each realization of the stack ``w``
+    (B x n x n), run in lockstep.  One result per realization: its trace,
+    the null basis it ends on and the white vertices that index the
+    basis's columns.
 
-    The basis has one column per white vertex, and its orthonormal rows
-    span the solutions x of the balance equations ``x @ w[white, j] = 0``
-    of the zero vertices j admitted so far.  It starts as the identity.
+    A basis has one column per white vertex, and its orthonormal rows span
+    the solutions x of the balance equations ``x @ w[white, j] = 0`` of
+    the zero vertices j admitted so far.  It starts as the identity.
     Admitting an independent equation reflects its direction onto the
     first row, which is dropped.  A forced vertex loses its column, which
     is zero up to rounding, so the rows stay orthonormal and span the
-    solutions on the remaining white vertices.
+    solutions on the remaining white vertices.  The basis is stored
+    transposed, so that a forced vertex drops a row and the forced-vertex
+    test sums along contiguous rows.
+
+    Realizations that agree on every rank decision so far form a group:
+    they share the white set and the row count, so the group keeps one
+    stacked basis, and each reflection and each forced-vertex test is one
+    numpy call for all of them.  Where they disagree (on whether an
+    equation is independent, or on which vertices a round forces) the
+    group splits, and each part takes that decision again on its own, so
+    every trace is the one the realization gives alone.
     """
-    n = w.shape[0]
-    column_norms = np.linalg.norm(w, axis=0)
+    n = w.shape[-1]
     white = np.array([v for v in range(n) if not zero >> v & 1], dtype=np.intp)
-    basis = np.eye(len(white))
-    admit = list(iter_vset(zero))
-    steps: list[tuple[int, int]] = []
-    initial = zero
+    basis = np.zeros((len(w), len(white), len(white)))
+    basis[:, range(len(white)), range(len(white))] = 1.0
+    wt = w.mT  # row j of each holds the coefficients of vertex j's equation
+    limits = _SQUARED_TOL * np.vecdot(wt, wt).T[:, :, None, None]
+    results: list = [None] * len(w)
+    groups = [_Group(np.arange(len(w)), wt, limits, basis, white, zero, list(iter_vset(zero)), [])]
+    while groups:
+        _advance(groups.pop(), zero, groups, results)
+    return results
+
+
+def _advance(group: _Group, initial: int, groups: list[_Group], results: list) -> None:
+    """Run a group to its fixpoint and store its results, or up to a
+    decision its members disagree on, and push its parts onto ``groups``."""
+    trials, wt, limits, basis, white, zero, admit, steps = group
+    members = len(trials)
     while len(white):
-        for j in admit:
-            m = basis @ w[white, j]
-            size = math.sqrt(m @ m)
-            if size > NULLSPACE_REL_TOL * column_norms[j]:
-                m[0] += math.copysign(size, m[0])  # the reflection's normal
-                basis = basis[1:] - (m[1:] * (2.0 / (m @ m)))[:, None] * (m @ basis)
-        if len(basis):
-            squares = np.einsum("ij,ij->j", basis, basis)
-            forced = np.sqrt(squares) < NULLSPACE_REL_TOL * math.sqrt(squares.sum())
+        for p, j in enumerate(admit):
+            m = wt[:, j : j + 1, white] @ basis  # the equation in basis coordinates
+            square = m @ m.mT
+            independent = square > limits[j]
+            count = np.count_nonzero(independent)
+            if count == members:
+                # Householder reflection with normal v = m + a e0, where
+                # |a| = |m| takes the sign of m0; then v @ v = 2 a v0.
+                head = m[:, :, :1]
+                a = np.copysign(np.sqrt(square), head)
+                head += a
+                u = basis @ m.mT
+                u /= a * head
+                basis[:, :, 1:] -= u * m[:, :, 1:]
+                basis = basis[:, :, 1:]
+            elif count:
+                independent = independent.reshape(-1)
+                groups += [
+                    group._split(part, basis, white, zero, admit[p:], steps)
+                    for part in (independent, ~independent)
+                ]
+                return
+        if basis.shape[2]:
+            squares = np.vecdot(basis, basis)
+            forced = squares < _SQUARED_TOL * squares.sum(axis=1, keepdims=True)
         else:
-            forced = np.ones(len(white), dtype=bool)
-        if not forced.any():
+            forced = np.ones((members, len(white)), dtype=bool)
+        pattern = forced[0]
+        if members > 1 and (forced != pattern).any():
+            codes = np.unique(forced, axis=0, return_inverse=True)[1].reshape(-1)
+            groups += [
+                group._split(codes == code, basis, white, zero, [], steps)
+                for code in range(codes.max() + 1)
+            ]
+            return
+        admit = white[pattern].tolist()
+        if not admit:
             break
-        admit = white[forced].tolist()
-        white = white[~forced]
-        basis = basis[:, ~forced]
         forced_mask = vset(admit)
         steps.append((zero, forced_mask))
         zero |= forced_mask
-    return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero), basis, white
+        keep = ~pattern
+        white = white[keep]
+        basis = basis[:, keep]
+    trace = ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
+    for i, trial in enumerate(trials.tolist()):
+        results[trial] = (trace, basis[i].T, white)
 
 
 def zero_extension_derived_set(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
@@ -141,7 +253,7 @@ def zero_extension_derived_set(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
     zero set.  The fixpoint does not depend on the order in which forced
     vertices are admitted.
     """
-    return _zero_extension(w, zero)[0]
+    return _zero_extension(w[None], zero)[0][0]
 
 
 def is_balancing_set(w: np.ndarray, zero: int) -> bool:
@@ -162,7 +274,7 @@ def uncontrollable_witness(
     """
     rng = rng or np.random.default_rng(0)
     n = w.shape[0]
-    trace, basis, white_members = _zero_extension(w, leader_mask)
+    [(trace, basis, white_members)] = _zero_extension(w[None], leader_mask)
     if trace.final == (1 << n) - 1:
         return None
     # A generic null vector is nonzero on every white vertex; prefer the
@@ -216,7 +328,10 @@ def sampled_verdict(
     """Check the balancing property on independent realizations.
 
     Returns the first failing realization if any; trials are indexed
-    deterministically from the seed so failures reproduce.
+    deterministically from the seed so failures reproduce.  Trial 0 runs
+    alone, the rest in lockstep batches within ``BATCH_BYTES``; a batch
+    reports its lowest failing trial, so the verdict is the one a loop over
+    the trials in order gives.
     """
     if trials < 1:
         raise InvalidTrialsError(f"trials must be >= 1, got {trials}")
@@ -224,12 +339,17 @@ def sampled_verdict(
         if not g.leaders:
             raise NoLeadersError("graph has no leader set")
         leader_mask = g.leader_mask
-    for offset in range(trials):
-        r = sample_realization(g, seed + offset)
-        w = weighted_adjacency(g, r)
-        if not is_balancing_set(w, leader_mask):
-            log.debug("counterexample at seed offset %d", offset)
-            return OracleVerdict(
-                corroborated=False, trials=trials, counterexample=r, seed_offset=offset
-            )
+    edges = _edge_arrays(g)
+    batch = max(1, BATCH_BYTES // (8 * g.n * g.n))
+    start, stop = 0, 1  # trial 0 alone: a graph that is not balancing fails there
+    while start < trials:
+        realizations = [sample_realization(g, seed + offset) for offset in range(start, stop)]
+        results = _zero_extension(_stacked_adjacency(g, edges, realizations), leader_mask)
+        for offset, r, (trace, _, _) in zip(range(start, stop), realizations, results):
+            if trace.final != g.full_mask:
+                log.debug("counterexample at seed offset %d", offset)
+                return OracleVerdict(
+                    corroborated=False, trials=trials, counterexample=r, seed_offset=offset
+                )
+        start, stop = stop, min(trials, stop + batch)
     return OracleVerdict(corroborated=True, trials=trials)

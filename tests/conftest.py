@@ -2,11 +2,13 @@
 and the reference routes the production code is checked against (all-subsets
 force enumeration, matching classes, the determinant without peeling, the
 classic forcing rule, the edge-operation search memoized on exact states,
-numeric realizations of slice patterns, the Kalman rank test, zero extension
-solved from scratch each round)."""
+numeric realizations of slice patterns and the determinant's value there,
+the Kalman rank test, zero extension solved from scratch each round or run
+one realization at a time, the per-trial sampled verdict)."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -18,14 +20,17 @@ from colored_ssc import (
     ColoredDigraph,
     DetPolynomial,
     Force,
+    OracleVerdict,
     ZeroExtensionTrace,
     enumerate_matchings,
     equivalence_classes,
     is_color_perfect,
+    sample_realization,
     vset,
     vset_from_labels,
     vset_labels,
     vset_members,
+    weighted_adjacency,
     white_out_neighbors,
 )
 from colored_ssc.bipartite import ColoredBipartite
@@ -316,6 +321,20 @@ def sample_color_values(n_colors: int, rng: np.random.Generator) -> np.ndarray:
     return magnitudes * np.exp(1j * phases)
 
 
+def evaluate_det(p: DetPolynomial, values: Sequence[complex]) -> complex:
+    """The determinant polynomial's value at the given color values."""
+    if len(values) != p.n_colors:
+        raise ValueError(f"expected {p.n_colors} color values, got {len(values)}")
+    total: complex = 0
+    for exponents, coeff in p.terms:
+        term: complex = coeff
+        for value, e in zip(values, exponents):
+            if e:
+                term *= value**e
+        total += term
+    return total
+
+
 def find_singular_realization(
     p: DetPolynomial, rng: np.random.Generator, restarts: int = 50
 ) -> np.ndarray | None:
@@ -355,7 +374,7 @@ def find_singular_realization(
             abs(coeff) * float(np.prod([abs(values[i]) ** e for i, e in enumerate(exp) if e] or [1.0]))
             for exp, coeff in p.terms
         )
-        if abs(p.evaluate(values)) < 1e-7 * max(scale, 1.0):
+        if abs(evaluate_det(p, values)) < 1e-7 * max(scale, 1.0):
             return values
     return None
 
@@ -436,6 +455,56 @@ def reference_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
         steps.append((zero, forced_mask))
         zero |= forced_mask
     return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
+
+
+def per_trial_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
+    """Zero extension of one realization with one null basis, updated one
+    Householder reflection per independent equation.  Reference route for
+    the production routine, which runs a stack of realizations in
+    lockstep."""
+    n = w.shape[0]
+    column_norms = np.linalg.norm(w, axis=0)
+    white = np.array([v for v in range(n) if not zero >> v & 1], dtype=np.intp)
+    basis = np.eye(len(white))
+    admit = list(iter_vset(zero))
+    steps: list[tuple[int, int]] = []
+    initial = zero
+    while len(white):
+        for j in admit:
+            m = basis @ w[white, j]
+            size = math.sqrt(m @ m)
+            if size > NULLSPACE_REL_TOL * column_norms[j]:
+                m[0] += math.copysign(size, m[0])  # the reflection's normal
+                basis = basis[1:] - (m[1:] * (2.0 / (m @ m)))[:, None] * (m @ basis)
+        if len(basis):
+            squares = np.einsum("ij,ij->j", basis, basis)
+            forced = np.sqrt(squares) < NULLSPACE_REL_TOL * math.sqrt(squares.sum())
+        else:
+            forced = np.ones(len(white), dtype=bool)
+        if not forced.any():
+            break
+        admit = white[forced].tolist()
+        white = white[~forced]
+        basis = basis[:, ~forced]
+        forced_mask = vset(admit)
+        steps.append((zero, forced_mask))
+        zero |= forced_mask
+    return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
+
+
+def per_trial_verdict(
+    g: ColoredDigraph, leader_mask: int, trials: int, seed: int = 0
+) -> OracleVerdict:
+    """The sampled verdict, one realization at a time through the per-trial
+    zero extension, stopping at the first that is not balancing."""
+    for offset in range(trials):
+        r = sample_realization(g, seed + offset)
+        trace = per_trial_zero_extension(weighted_adjacency(g, r), leader_mask)
+        if trace.final != g.full_mask:
+            return OracleVerdict(
+                corroborated=False, trials=trials, counterexample=r, seed_offset=offset
+            )
+    return OracleVerdict(corroborated=True, trials=trials)
 
 
 # One line per acceptance criterion, printed after the run so the verdicts

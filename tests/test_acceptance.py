@@ -39,6 +39,7 @@ from colored_ssc.corpus import load as load_fig
 from conftest import (
     class_term_map,
     classic_derived_set,
+    evaluate_det,
     kalman_rank,
     labels,
     members1,
@@ -145,7 +146,7 @@ def test_criterion_7_route_agreement():
         assert pattern_nonsingular(b) == (len(class_term_map(b)) == 1)
         values = sample_color_values(len(b.colors), rng)
         direct = np.linalg.det(pattern_matrix(b, values))
-        via_poly = det.evaluate(list(values))
+        via_poly = evaluate_det(det, list(values))
         assert abs(direct - via_poly) <= 1e-9 * max(1.0, abs(direct), abs(via_poly))
 
 

@@ -87,6 +87,29 @@ class TestCheck:
         assert report["oracle"]["verdict"] == "COUNTEREXAMPLE"
         assert report["oracle"]["failures"]
 
+    def test_text_reports_oracle_verdict(self, capsys):
+        code, out, _ = run_cli(capsys, "check", str(fig_path("fig5")), "--oracle", "--trials", "5")
+        assert code == EXIT_OK
+        assert out == "fig5: CONTROLLABLE (method EEO)\noracle: CORROBORATED (5 trials)\n"
+
+    def test_text_reports_oracle_counterexample(self, capsys, tmp_path):
+        target = tmp_path / "edgeless.json"
+        target.write_text(json.dumps({"n": 3, "colors": [], "edges": [], "leaders": [1]}))
+        code, out, _ = run_cli(capsys, "check", str(target), "--oracle")
+        assert code == EXIT_UNDECIDED
+        assert out == (
+            "edgeless: UNDECIDED (method NONE)\n"
+            "oracle: COUNTEREXAMPLE at seed offset 0 (100 trials)\n"
+        )
+
+    def test_text_reports_budget_exhausted(self, capsys):
+        path = str(fig_path("fig5"))
+        code, out, _ = run_cli(capsys, "check", path, "--budget", "1")
+        assert code == EXIT_UNDECIDED
+        assert out == "fig5: UNDECIDED (method NONE, budget exhausted)\n"
+        _, out, _ = run_cli(capsys, "check", path, "--budget", "1", "--json")
+        assert json.loads(out)["edge_operations"]["budget_exhausted"] is True
+
     def test_exit_codes_stable(self, capsys):
         first = run_cli(capsys, "check", str(fig_path("fig8")), "--json", "--seed", "7")
         second = run_cli(capsys, "check", str(fig_path("fig8")), "--json", "--seed", "7")

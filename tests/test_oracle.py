@@ -1,8 +1,11 @@
-"""Realizations, zero extension against its from-scratch reference, the
-balancing test against the reference Kalman rank test, and sampled
-verdicts."""
+"""Realizations, zero extension against its from-scratch and per-trial
+references, lockstep batches, the balancing test against the reference
+Kalman rank test, and sampled verdicts."""
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,21 +17,36 @@ from colored_ssc import (
     sampled_verdict,
     uncontrollable_witness,
     validate,
+    vset,
     weighted_adjacency,
     zero_extension_derived_set,
 )
-from colored_ssc.corpus import load as load_fig
-from colored_ssc.oracle import InvalidTrialsError, NoLeadersError, Realization
+from colored_ssc import oracle
+from colored_ssc.corpus import GRAPH_IDS, load as load_fig
+from colored_ssc.oracle import (
+    BATCH_BYTES,
+    InvalidTrialsError,
+    NoLeadersError,
+    Realization,
+    ZeroExtensionTrace,
+)
 
 from conftest import (
     chain_digraph,
     forced_white,
     kalman_rank,
     labels,
+    per_trial_verdict,
+    per_trial_zero_extension,
     random_digraph,
     reference_zero_extension,
     sampled_diagonal,
 )
+
+# Graphs at the edges of the input range: no edge at all (W = 0, so no
+# equation forces anything), and a single vertex that is the leader.
+EDGELESS = ColoredDigraph(n=3, edges=(), colors=(), leaders=(0,))
+LEADER_ONLY = ColoredDigraph(n=1, edges=(), colors=(), leaders=(0,))
 
 
 class TestSampling:
@@ -238,6 +256,72 @@ class TestAgainstReference:
         assert trace == reference_zero_extension(w, g.leader_mask)
         assert (trace.final == g.full_mask) is (name == "forced-a-round-early")
 
+    @pytest.mark.parametrize("g", [EDGELESS, LEADER_ONLY], ids=["edgeless", "leader-only"])
+    def test_edge_graphs(self, g):
+        w = weighted_adjacency(g, sample_realization(g, 0))
+        trace = zero_extension_derived_set(w, g.leader_mask)
+        assert trace == reference_zero_extension(w, g.leader_mask)
+        assert trace == ZeroExtensionTrace(initial=g.leader_mask, steps=(), final=g.leader_mask)
+
+
+def _sign_realizations(g: ColoredDigraph) -> list[Realization]:
+    """Every assignment of +1 and -1 to the colors.  Equal magnitudes make
+    some balance equations dependent, or some coordinates vanish, for some
+    sign patterns and not for others."""
+    return [
+        Realization(color_values=dict(zip(g.colors, values)))
+        for values in product((1.0, -1.0), repeat=len(g.colors))
+    ]
+
+
+class TestLockstep:
+    """Zero extension of a stack of realizations gives each the trace it
+    gives alone: the per-trial reference's and the from-scratch
+    reference's, including where the stack splits."""
+
+    @pytest.fixture
+    def split_kinds(self, monkeypatch):
+        kinds: Counter = Counter()
+        split = oracle._Group._split
+
+        def spy(group, members, basis, white, zero, admit, steps):
+            # an equation split resumes with that equation; a forced split with none
+            kinds["equation" if admit else "forced"] += 1
+            return split(group, members, basis, white, zero, admit, steps)
+
+        monkeypatch.setattr(oracle._Group, "_split", spy)
+        return kinds
+
+    def _check_stack(self, g: ColoredDigraph, realizations: list[Realization]) -> None:
+        ws = np.stack([weighted_adjacency(g, r) for r in realizations])
+        results = oracle._zero_extension(ws, g.leader_mask)
+        assert len(results) == len(ws)
+        for w, (trace, basis, white) in zip(ws, results):
+            assert trace == per_trial_zero_extension(w, g.leader_mask)
+            assert trace == reference_zero_extension(w, g.leader_mask)
+            assert basis.shape[1] == len(white)
+            assert vset(white.tolist()) == g.full_mask & ~trace.final
+
+    def test_mixed_batches(self, split_kinds):
+        rng = np.random.default_rng(5)
+        systems = [(validate(doc), trial) for doc, trial in TRAP_SYSTEMS.values()]
+        systems += [(random_digraph(rng), 9000 + i) for i in range(100)]
+        for g, trial in systems:
+            sampled = [sample_realization(g, seed) for seed in (trial, trial + 1)]
+            self._check_stack(g, sampled + _sign_realizations(g))
+        assert split_kinds["equation"] and split_kinds["forced"]
+
+    def test_sampled_stacks(self):
+        rng = np.random.default_rng(61)
+        for i in range(40):
+            g = random_digraph(rng, n_max=9)
+            self._check_stack(g, [sample_realization(g, 300 * i + t) for t in range(12)])
+
+    @pytest.mark.parametrize("twins", [False, True], ids=["chain", "twins"])
+    def test_chain_stack(self, twins):
+        g = chain_digraph(np.random.default_rng(4 + twins), 40, twins)
+        self._check_stack(g, [sample_realization(g, t) for t in range(6)])
+
 
 class TestBalancing:
     def test_fig5_balancing(self):
@@ -290,3 +374,89 @@ class TestSampledVerdict:
         g = ColoredDigraph(n=2, edges=((0, 1, 0),), colors=("c1",))
         with pytest.raises(NoLeadersError):
             sampled_verdict(g, trials=1)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (EDGELESS, ("COUNTEREXAMPLE", [{"color_values": {}, "seed_offset": 0}])),
+            (LEADER_ONLY, ("CORROBORATED", [])),
+        ],
+        ids=["edgeless", "leader-only"],
+    )
+    def test_edge_graphs(self, g, expected):
+        verdict, failures = expected
+        report = sampled_verdict(g, trials=100).to_jsonable()
+        assert report == {"verdict": verdict, "trials": 100, "failures": failures}
+
+
+def _trial_counts(g: ColoredDigraph) -> tuple[int, int, int]:
+    """One trial, two, and one more than a lockstep batch."""
+    return 1, 2, oracle.BATCH_BYTES // (8 * g.n * g.n) + 1
+
+
+class TestAgainstPerTrialLoop:
+    """Lockstep batches give the verdict, counterexample and seed offset
+    of the loop that runs one realization at a time."""
+
+    @pytest.mark.parametrize("graph_id", GRAPH_IDS)
+    def test_corpus(self, graph_id):
+        g = load_fig(graph_id)
+        for leaders in {g.leader_mask, labels(1)}:
+            for trials in _trial_counts(g):
+                assert sampled_verdict(g, leaders, trials, seed=3) == per_trial_verdict(
+                    g, leaders, trials, seed=3
+                )
+
+    def test_random_digraphs(self, monkeypatch):
+        # a budget of three realizations makes "one more than a batch" cheap
+        rng = np.random.default_rng(71)
+        corroborated = 0
+        for i in range(300):
+            g = random_digraph(rng)
+            monkeypatch.setattr(oracle, "BATCH_BYTES", 3 * 8 * g.n * g.n)
+            for trials in _trial_counts(g):
+                verdict = sampled_verdict(g, trials=trials, seed=i)
+                assert verdict == per_trial_verdict(g, g.leader_mask, trials, seed=i)
+            corroborated += verdict.corroborated
+        assert 20 <= corroborated <= 280
+
+    @pytest.mark.parametrize("twins", [False, True], ids=["chain", "twins"])
+    def test_chain(self, twins):
+        g = chain_digraph(np.random.default_rng(62), 62, twins)
+        for trials in _trial_counts(g):
+            verdict = sampled_verdict(g, trials=trials)
+            assert verdict == per_trial_verdict(g, g.leader_mask, trials)
+            assert verdict.corroborated is not twins
+
+    @pytest.mark.parametrize("g", [EDGELESS, LEADER_ONLY], ids=["edgeless", "leader-only"])
+    def test_edge_graphs(self, g, monkeypatch):
+        monkeypatch.setattr(oracle, "BATCH_BYTES", 3 * 8 * g.n * g.n)
+        for trials in _trial_counts(g):
+            assert sampled_verdict(g, trials=trials) == per_trial_verdict(g, g.leader_mask, trials)
+
+
+def test_batches_stay_within_the_byte_budget(monkeypatch):
+    """Trial 0 runs alone, and no later batch stacks realizations or null
+    bases past the budget.  After two real batches the spy answers
+    balancing, so that 10,000 trials stay cheap."""
+    g = chain_digraph(np.random.default_rng(9), 62, False)
+    sizes, basis_bytes = [], []
+    lockstep, advance = oracle._zero_extension, oracle._advance
+
+    def spy(w, zero):
+        sizes.append(len(w))
+        assert w.nbytes <= BATCH_BYTES
+        if len(sizes) <= 2:
+            return lockstep(w, zero)
+        return [(ZeroExtensionTrace(zero, (), g.full_mask), None, None)] * len(w)
+
+    def spy_advance(group, *args):
+        basis_bytes.append(group.basis.nbytes)
+        return advance(group, *args)
+
+    monkeypatch.setattr(oracle, "_zero_extension", spy)
+    monkeypatch.setattr(oracle, "_advance", spy_advance)
+    assert sampled_verdict(g, trials=10_000).corroborated
+    assert sizes[0] == 1 and sum(sizes) == 10_000
+    assert max(sizes) == BATCH_BYTES // (8 * g.n * g.n)
+    assert len(basis_bytes) == 2 and max(basis_bytes) <= BATCH_BYTES
