@@ -218,11 +218,9 @@ def _advance(group: _Group, initial: int, groups: list[_Group], results: list) -
                     for part in (independent, ~independent)
                 ]
                 return
-        if basis.shape[2]:
-            squares = np.vecdot(basis, basis)
-            forced = squares < _SQUARED_TOL * squares.sum(axis=1, keepdims=True)
-        else:
-            forced = np.ones((members, len(white)), dtype=bool)
+        # The basis norm is sqrt(rows), its rows being orthonormal; with no
+        # row left, every white vertex is forced.
+        forced = np.vecdot(basis, basis) <= _SQUARED_TOL * basis.shape[2]
         pattern = forced[0]
         if members > 1 and (forced != pattern).any():
             codes = np.unique(forced, axis=0, return_inverse=True)[1].reshape(-1)
