@@ -39,6 +39,7 @@ from .forcing import (
     SearchConfig,
     derived_set_greedy,
     find_forces,
+    iter_forces,
     is_color_perfect,
     is_zero_forcing_set,
 )

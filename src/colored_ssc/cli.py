@@ -15,6 +15,7 @@ COLORED_SSC_LOG=debug for trace-level logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -139,6 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and kept for
+    the process: ``parse_args`` leaves no state in it, and building it
+    costs more than parsing."""
+    return build_parser()
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -322,7 +331,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("COLORED_SSC_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except SoundnessError as exc:

@@ -9,6 +9,7 @@ over force choices, memoizing black sets that provably cannot reach V.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -135,57 +136,68 @@ def _source_domain(
     return candidates, limit, False
 
 
+def iter_forces(
+    g: ColoredDigraph,
+    black: int,
+    config: SearchConfig = DEFAULT_CONFIG,
+    allow_truncation: bool = False,
+) -> Iterator[Force]:
+    """The forces available at ``black``, smallest source first, each slice
+    tested only when the next force is asked for.
+
+    Sources are ordered by increasing size, lexicographically within a
+    size, so the order is reproducible.  Only sources that can force are
+    enumerated: subsets of the black vertices with a white out-neighbor, no
+    larger than the white set.  When those subsets number more than
+    ``2**config.max_source_cap - 1``, the call itself raises
+    :class:`SearchBoundExceededError`, or with ``allow_truncation`` keeps
+    the largest source size whose subsets fit; either is decided before any
+    slice is tested.
+    """
+    candidates, limit, _ = _source_domain(g, black, config, allow_truncation)
+    return _forces_from(g, candidates, limit)
+
+
 def find_forces(
     g: ColoredDigraph,
     black: int,
     config: SearchConfig = DEFAULT_CONFIG,
     allow_truncation: bool = False,
 ) -> list[Force]:
-    """All forces available at ``black``, smallest source first.
-
-    Sources are ordered by increasing size, lexicographically within a
-    size, so the returned order is reproducible.  Only sources that can
-    force are enumerated: subsets of the black vertices with a white
-    out-neighbor, no larger than the white set.  When those subsets number
-    more than ``2**config.max_source_cap - 1``, the call raises
-    :class:`SearchBoundExceededError`, or with ``allow_truncation`` keeps
-    the largest source size whose subsets fit.
-    """
-    candidates, limit, _ = _source_domain(g, black, config, allow_truncation)
-    return _forces_from(g, black, candidates, limit)
+    """All forces available at ``black``, in the order of :func:`iter_forces`."""
+    return list(iter_forces(g, black, config, allow_truncation))
 
 
 def _forces_from(
-    g: ColoredDigraph, black: int, candidates: list[tuple[int, int]], limit: int
-) -> list[Force]:
+    g: ColoredDigraph, candidates: list[tuple[int, int]], limit: int
+) -> Iterator[Force]:
     """The forces whose sources are subsets of ``candidates`` of at most
-    ``limit`` members, in the order :func:`find_forces` documents."""
+    ``limit`` members, in the order :func:`iter_forces` documents.
+
+    The walk goes one source size at a time, and a size's subsets are
+    listed only once every force of the sizes below has been asked for.
+    Each node of a level is a subset, as (index of its last member, source,
+    target), grown from the previous level by a later candidate, so a level
+    is in lexicographic order.  Adding members only grows the white target,
+    so a subset is dropped once its target is wider than any source it can
+    still reach.  A slice is tested when its force is asked for.
+    """
     last = len(candidates) - 1
-    forces: list[Force] = []
-
-    def extend(start: int, source: int, target: int, size: int) -> None:
-        # Depth first over candidates in index order; adding members only
-        # grows the white target, so a branch dies once the target is wider
-        # than any source it can still reach.
-        size += 1
-        for i in range(start, last + 1):
-            bit, reach = candidates[i]
-            x, y = source | bit, target | reach
-            width = y.bit_count()
-            if width > min(limit, size + last - i):
-                continue
-            if width == size:
-                signature = slice_signature(slice_key(g, x, y))
+    level = [(-1, 0, 0)]
+    for size in range(1, limit + 1):
+        grown = []
+        for start, source, target in level:
+            for i in range(start + 1, last + 1):
+                bit, reach = candidates[i]
+                y = target | reach
+                if y.bit_count() <= min(limit, size + last - i):
+                    grown.append((i, source | bit, y))
+        level = grown
+        for _, source, target in level:
+            if target.bit_count() == size:
+                signature = slice_signature(slice_key(g, source, target))
                 if signature is not None:
-                    forces.append(Force(source=x, target=y, class_signature=signature))
-            if size < limit:
-                extend(i + 1, x, y, size)
-
-    extend(0, 0, 0, 0)
-    # depth-first order is lexicographic, so a stable sort by size gives
-    # size-then-lexicographic order
-    forces.sort(key=lambda f: f.source.bit_count())
-    return forces
+                    yield Force(source=source, target=target, class_signature=signature)
 
 
 def derived_set_greedy(
@@ -195,9 +207,9 @@ def derived_set_greedy(
 ) -> DerivationTrace:
     """Apply the first force of each step until none remain; no backtracking.
 
-    ``find_forces`` orders sources smallest first, so each step takes a
-    smallest source, lexicographically first within its size.  A step
-    whose candidate subsets pass the configured budget only looks at
+    Forces come smallest source first (see :func:`iter_forces`), so each
+    step takes a smallest source, lexicographically first within its size.
+    A step whose candidate subsets pass the configured budget only looks at
     sources of the largest size that fits, and the returned trace is
     flagged as truncated.
     """
@@ -207,11 +219,11 @@ def derived_set_greedy(
     while True:
         candidates, limit, cut = _source_domain(g, black, config, allow_truncation=True)
         truncated |= cut
-        forces = _forces_from(g, black, candidates, limit)
-        if not forces:
+        force = next(_forces_from(g, candidates, limit), None)
+        if force is None:
             break
-        steps.append(forces[0])
-        black |= forces[0].target
+        steps.append(force)
+        black |= force.target
     return DerivationTrace(initial=initial, steps=tuple(steps), final=black, truncated=truncated)
 
 
@@ -227,6 +239,8 @@ def derivation_outcomes(
     the first trace that reached it; without a witness that is every stuck
     set reachable from ``black``.  Black sets proven unable to reach V are
     memoized and never re-expanded, so no stuck set is recorded twice.
+    Forces are drawn from :func:`iter_forces` one at a time, so the forces
+    after the one that leads to V are never tested.
     """
     full = g.full_mask
     dead: set[int] = set()
@@ -238,16 +252,15 @@ def derivation_outcomes(
             return True
         if black in dead:
             return False
-        forces = find_forces(g, black, config)
-        if not forces:
-            stuck.append(DerivationTrace(initial=start, steps=tuple(path), final=black))
-            dead.add(black)
-            return False
-        for force in forces:
+        forced = False
+        for force in iter_forces(g, black, config):
+            forced = True
             path.append(force)
             if dfs(black | force.target):
                 return True
             path.pop()
+        if not forced:
+            stuck.append(DerivationTrace(initial=start, steps=tuple(path), final=black))
         dead.add(black)
         return False
 

@@ -1,10 +1,11 @@
 """Shared helpers: label conversions, corpus access, random generators,
 and the reference routes the production code is checked against (all-subsets
-force enumeration, matching classes, the determinant without peeling, the
-classic forcing rule, the edge-operation search memoized on exact states,
-numeric realizations of slice patterns and the determinant's value there,
-the Kalman rank test, zero extension solved from scratch each round or run
-one realization at a time, the per-trial sampled verdict)."""
+force enumeration, the eager force enumeration that tests every slice,
+matching classes, the determinant without peeling, the classic forcing rule,
+the edge-operation search memoized on exact states, numeric realizations of
+slice patterns and the determinant's value there, the Kalman rank test, zero
+extension solved from scratch each round or run one realization at a time,
+the per-trial sampled verdict)."""
 
 from __future__ import annotations
 
@@ -36,8 +37,14 @@ from colored_ssc import (
 from colored_ssc.bipartite import ColoredBipartite
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
-from colored_ssc.forcing import derivation_outcomes
-from colored_ssc.graph import iter_vset
+from colored_ssc import forcing
+from colored_ssc.forcing import (
+    DEFAULT_CONFIG,
+    SearchBoundExceededError,
+    SearchConfig,
+    derivation_outcomes,
+)
+from colored_ssc.graph import iter_vset, slice_key
 from colored_ssc.oracle import NULLSPACE_REL_TOL
 
 
@@ -151,6 +158,52 @@ def all_subsets_forces(
             force = is_color_perfect(g, source, black)
             if force is not None:
                 forces.append(force)
+    return forces
+
+
+def eager_forces(
+    g: ColoredDigraph,
+    black: int,
+    config: SearchConfig = DEFAULT_CONFIG,
+    allow_truncation: bool = False,
+) -> list[Force]:
+    """Reference force list in the eager form: the same candidates, budget
+    and pruned depth-first walk as ``iter_forces``, but every slice whose
+    target is as wide as its source is tested as the walk meets it, and
+    the forces are then sorted by source size.  Slices are tested through
+    ``forcing.slice_signature``, so a spy on that name counts them."""
+    white = g.full_mask & ~black
+    candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
+    candidates = [(bit, reach) for bit, reach in candidates if reach]
+    limit = min(len(candidates), white.bit_count())
+    subsets = 0
+    for size in range(1, limit + 1):
+        subsets += math.comb(len(candidates), size)
+        if subsets > (1 << config.max_source_cap) - 1:
+            if not allow_truncation:
+                raise SearchBoundExceededError("past the source budget")
+            limit = size - 1
+            break
+    last = len(candidates) - 1
+    forces: list[Force] = []
+
+    def extend(start: int, source: int, target: int, size: int) -> None:
+        size += 1
+        for i in range(start, last + 1):
+            bit, reach = candidates[i]
+            x, y = source | bit, target | reach
+            width = y.bit_count()
+            if width > min(limit, size + last - i):
+                continue
+            if width == size:
+                signature = forcing.slice_signature(slice_key(g, x, y))
+                if signature is not None:
+                    forces.append(Force(source=x, target=y, class_signature=signature))
+            if size < limit:
+                extend(i + 1, x, y, size)
+
+    extend(0, 0, 0, 0)
+    forces.sort(key=lambda f: f.source.bit_count())
     return forces
 
 

@@ -159,6 +159,20 @@ class TestUsage:
         assert captured.out == ""
         assert f"error: argument {flag}:" in captured.err
 
+    def test_calls_share_no_state(self, capsys):
+        # main reuses one parser for the process; no call may leak into the next
+        path = str(fig_path("fig5"))
+        plain = run_cli(capsys, "check", path, "--json")
+        code, out, _ = run_cli(capsys, "check", path, "--json", "--oracle", "--trials", "3")
+        assert code == EXIT_OK and "oracle" in json.loads(out)
+        assert run_cli(capsys, "check", path, "--json") == plain
+        assert "oracle" not in json.loads(plain[1])
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--budget", "0"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "error: argument --budget:" in capsys.readouterr().err
+        assert run_cli(capsys, "check", path, "--json") == plain
+
     @pytest.mark.parametrize("argv", [["--version"], ["check", "--help"]])
     def test_help_and_version_exit_ok(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -329,13 +329,13 @@ class TestAnalyze:
     def test_root_searched_once(self, monkeypatch):
         g = load_fig("fig5")  # not zero forcing, so the search goes past the root
         calls = []
-        original = forcing.find_forces
+        original = forcing.iter_forces
 
         def counting(graph, black, *args, **kwargs):
             calls.append((graph, black))
             return original(graph, black, *args, **kwargs)
 
-        monkeypatch.setattr(forcing, "find_forces", counting)
+        monkeypatch.setattr(forcing, "iter_forces", counting)
         assert analyze(g).method == "EEO"
         assert calls.count((g, g.leader_mask)) == 1
 

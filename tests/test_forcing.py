@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from colored_ssc import (
     ColoredDigraph,
+    analyze,
     derived_set_greedy,
     find_forces,
+    iter_forces,
     is_balancing_set,
     is_color_perfect,
     is_zero_forcing_set,
@@ -23,12 +25,20 @@ from colored_ssc import (
 )
 from colored_ssc import enumerate_matchings, equivalence_classes, induced_bipartite
 from colored_ssc import vset, white_out_neighbors
+from colored_ssc import forcing
 from colored_ssc.bipartite import slice_signature
 from colored_ssc.corpus import load as load_fig
-from colored_ssc.forcing import SearchBoundExceededError, SearchConfig
+from colored_ssc.forcing import DEFAULT_CONFIG, SearchBoundExceededError, SearchConfig
 from colored_ssc.graph import iter_vset, slice_key
 
-from conftest import all_subsets_forces, classic_derived_set, labels, members1, random_digraph
+from conftest import (
+    all_subsets_forces,
+    classic_derived_set,
+    eager_forces,
+    labels,
+    members1,
+    random_digraph,
+)
 
 
 def _path(n: int) -> ColoredDigraph:
@@ -162,6 +172,94 @@ class TestFindForces:
             g, labels(1, 2, 3, 4, 5), config=tight, allow_truncation=True
         )
         assert [members1(f.source) for f in truncated] == [(5,)]
+
+
+def _eager_iter(g, black, config=DEFAULT_CONFIG, allow_truncation=False):
+    """``iter_forces`` drawn from the eager reference."""
+    return iter(eager_forces(g, black, config, allow_truncation))
+
+
+def _count_slice_tests(monkeypatch) -> list[int]:
+    """Spy on the slice test the force search calls; returns its call count."""
+    calls = [0]
+    original = forcing.slice_signature
+
+    def counting(key):
+        calls[0] += 1
+        return original(key)
+
+    monkeypatch.setattr(forcing, "slice_signature", counting)
+    return calls
+
+
+class TestIterForces:
+    def test_matches_eager_reference(self):
+        rng = np.random.default_rng(34)
+        raised = truncated = 0
+        for _ in range(400):
+            g = random_digraph(rng, n_max=12, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            assert list(iter_forces(g, black)) == eager_forces(g, black)
+            tight = SearchConfig(max_source_cap=int(rng.integers(1, 5)))
+            try:
+                want = eager_forces(g, black, tight)
+            except SearchBoundExceededError:
+                raised += 1
+                with pytest.raises(SearchBoundExceededError):
+                    iter_forces(g, black, tight)
+            else:
+                assert list(iter_forces(g, black, tight)) == want
+            got = list(iter_forces(g, black, tight, allow_truncation=True))
+            assert got == eager_forces(g, black, tight, allow_truncation=True)
+            truncated += got != eager_forces(g, black)
+        assert raised > 50 and truncated > 20
+
+    def test_bound_decided_before_any_slice_test(self, monkeypatch):
+        calls = _count_slice_tests(monkeypatch)
+        g, black = _private_targets(13), (1 << 13) - 1
+        with pytest.raises(SearchBoundExceededError):
+            iter_forces(g, black)  # the call raises; nothing is iterated
+        forces = iter_forces(g, black, allow_truncation=True)
+        assert calls[0] == 0
+        assert next(forces).source == 1 and calls[0] == 1
+
+    def test_search_tests_fewer_slices(self, monkeypatch):
+        g = load_fig("fig7d")  # a zero forcing set with several forces per step
+        calls = _count_slice_tests(monkeypatch)
+        lazy = forcing.derivation_outcomes(g, g.leader_mask)
+        lazy_calls = calls[0]
+        calls[0] = 0
+        monkeypatch.setattr(forcing, "iter_forces", _eager_iter)
+        assert forcing.derivation_outcomes(g, g.leader_mask) == lazy
+        assert lazy[0] is not None
+        assert lazy_calls < calls[0]
+
+    def test_bound_errors_at_same_black_sets(self, monkeypatch):
+        # analyze meets the same black sets, and refuses at the same one,
+        # whether forces come lazily or from the eager reference
+        rng = np.random.default_rng(35)
+        cases = [
+            (random_digraph(rng, n_max=10), SearchConfig(max_source_cap=int(rng.integers(1, 5))))
+            for _ in range(120)
+        ]
+
+        def run(search, g, config):
+            seen: list[int] = []
+
+            def recording(graph, black, *args, **kwargs):
+                seen.append(black)
+                return search(graph, black, *args, **kwargs)
+
+            monkeypatch.setattr(forcing, "iter_forces", recording)
+            try:
+                analyze(g, budget=20, config=config)
+            except SearchBoundExceededError:
+                return seen, True
+            return seen, False
+
+        lazy = [run(iter_forces, g, config) for g, config in cases]
+        assert lazy == [run(_eager_iter, g, config) for g, config in cases]
+        assert sum(raised for _, raised in lazy) > 10
 
 
 class TestGreedyDerivation:
