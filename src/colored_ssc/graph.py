@@ -278,7 +278,10 @@ def _field(description: Mapping, name: str, parse):
 def _edge(entry) -> tuple[int, int, int]:
     if len(entry) != 3:
         raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
-    tail, head, color = (_integer(x) for x in entry)
+    tail, head, color = entry
+    # Plain ints, the common case, need no check; bools, floats and strings do.
+    if not type(tail) is type(head) is type(color) is int:
+        tail, head, color = map(_integer, entry)
     return tail - 1, head - 1, color - 1
 
 

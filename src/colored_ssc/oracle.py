@@ -18,18 +18,41 @@ realizations, one stacked null basis, one numpy call per reflection and
 per forced-vertex test for the whole stack.  Trial 0 runs alone first,
 since a graph that is not balancing fails at a generic realization; the
 rest run in batches whose stacked arrays stay within ``BATCH_BYTES``.
+
+numpy is loaded on first use, not on import: the commands that never reach
+this module's routines (every one but ``oracle`` and ``check --oracle``)
+start without it.  No module-level code may touch an attribute of ``np``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import logging
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-import numpy as np
-
 from .graph import ColoredDigraph, iter_vset, vset
+
+
+def _lazy_import(name: str):
+    """The module ``name``, executed on its first attribute access; the one
+    already imported, if any."""
+    spec = importlib.util.find_spec(name)  # None also when blocked in sys.modules
+    if spec is None:
+        raise ImportError(f"colored_ssc.oracle needs {name}, which is not installed", name=name)
+    if name in sys.modules:
+        return sys.modules[name]
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 log = logging.getLogger("colored_ssc.oracle")
 

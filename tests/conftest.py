@@ -17,35 +17,40 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from colored_ssc import (
-    ColoredDigraph,
+from colored_ssc import forcing
+from colored_ssc.bipartite import (
+    ColoredBipartite,
     DetPolynomial,
-    Force,
-    OracleVerdict,
-    ZeroExtensionTrace,
     enumerate_matchings,
     equivalence_classes,
+)
+from colored_ssc.corpus import load as load_fig
+from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
+from colored_ssc.forcing import (
+    DEFAULT_CONFIG,
+    Force,
+    SearchBoundExceededError,
+    SearchConfig,
+    derivation_outcomes,
     is_color_perfect,
-    sample_realization,
+)
+from colored_ssc.graph import (
+    ColoredDigraph,
+    iter_vset,
+    slice_key,
     vset,
     vset_from_labels,
     vset_labels,
     vset_members,
-    weighted_adjacency,
     white_out_neighbors,
 )
-from colored_ssc.bipartite import ColoredBipartite
-from colored_ssc.corpus import load as load_fig
-from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
-from colored_ssc import forcing
-from colored_ssc.forcing import (
-    DEFAULT_CONFIG,
-    SearchBoundExceededError,
-    SearchConfig,
-    derivation_outcomes,
+from colored_ssc.oracle import (
+    NULLSPACE_REL_TOL,
+    OracleVerdict,
+    ZeroExtensionTrace,
+    sample_realization,
+    weighted_adjacency,
 )
-from colored_ssc.graph import iter_vset, slice_key
-from colored_ssc.oracle import NULLSPACE_REL_TOL
 
 
 def labels(*vertices: int) -> int:

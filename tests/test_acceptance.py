@@ -13,28 +13,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from colored_ssc import (
-    analyze,
-    apply_remove_edges,
-    apply_turn_color,
-    derived_set_greedy,
-    eeo_derived_set,
+from colored_ssc.analysis import analyze
+from colored_ssc.bipartite import (
     enumerate_matchings,
     equivalence_classes,
-    induced_bipartite,
-    is_zero_forcing_set,
     pattern_nonsingular,
+    symbolic_det,
+)
+from colored_ssc.corpus import load as load_fig
+from colored_ssc.edgeops import (
+    EeoTrace,
+    RemoveEdges,
+    apply_op,
+    apply_remove_edges,
+    apply_turn_color,
+    eeo_derived_set,
+)
+from colored_ssc.forcing import DerivationTrace, derived_set_greedy, is_zero_forcing_set
+from colored_ssc.graph import ColoredDigraph, induced_bipartite
+from colored_ssc.oracle import (
     sample_realization,
     sampled_verdict,
-    symbolic_det,
     uncontrollable_witness,
     weighted_adjacency,
     zero_extension_derived_set,
 )
-from colored_ssc.edgeops import EeoTrace, RemoveEdges, apply_op
-from colored_ssc.forcing import DerivationTrace
-from colored_ssc.graph import ColoredDigraph
-from colored_ssc.corpus import load as load_fig
 
 from conftest import (
     class_term_map,

@@ -7,19 +7,17 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from colored_ssc import (
-    enumerate_matchings,
-    equivalence_classes,
-    induced_bipartite,
-    pattern_nonsingular,
-    symbolic_det,
-)
 from colored_ssc.bipartite import (
     EnumerationCapError,
     SizeMismatchError,
     certifying_signature,
+    enumerate_matchings,
+    equivalence_classes,
+    pattern_nonsingular,
+    symbolic_det,
 )
 from colored_ssc.corpus import load as load_fig
+from colored_ssc.graph import induced_bipartite
 
 from conftest import (
     class_term_map,

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import colored_ssc
-from colored_ssc import serialize, validate
 from colored_ssc.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SEARCH_CAP, EXIT_UNDECIDED, main
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig, path as fig_path
+from colored_ssc.graph import serialize, validate
 
 from conftest import MALFORMED_FIELDS
 
@@ -301,21 +301,82 @@ class TestOracleCommand:
         assert set(failure) == {"color_values", "seed_offset"}
 
 
+def fresh_interpreter(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter on this package."""
+    src = str(Path(colored_ssc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout
+
+
 class TestImport:
     def test_cli_loads_no_scipy(self):
         # scipy is a test-only dependency; importing it would about double
         # the start-up time of every command
-        src = str(Path(colored_ssc.__file__).resolve().parents[1])
         code = "import sys, colored_ssc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
+        assert fresh_interpreter(code).strip() == "[]"
+
+    # In a fresh interpreter: every command but the two oracle ones on corpus
+    # graphs, the numpy submodules loaded by then, the two oracle commands
+    # on every corpus graph, and the numpy submodules loaded after them.
+    DEFERRED_LOAD = """
+import contextlib, io, json, sys
+from colored_ssc.cli import main
+from colored_ssc.corpus import GRAPH_IDS, path
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return [code, out.getvalue(), err.getvalue()]
+
+def numpy_submodules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+for graph_id in GRAPH_IDS:
+    for argv in (["check", "--json"], ["forcing"], ["eeo-derive"], ["validate"]):
+        run(argv[0], str(path(graph_id)), *argv[1:])
+run("export-dot", str(path("fig7a")), "--stage", "1")
+run("bipartite", str(path("fig3")), "--x", "1,2,3")
+before = numpy_submodules()
+outputs = [
+    [run("oracle", str(path(g)), "--json"), run("check", str(path(g)), "--oracle", "--json")]
+    for g in GRAPH_IDS
+]
+print(json.dumps({"before": before, "after": numpy_submodules(), "outputs": outputs}))
+"""
+
+    def test_numpy_loads_only_for_the_oracle(self, capsys):
+        # the test process has numpy loaded already, so only a fresh
+        # interpreter runs the oracle through the deferred import
+        report = json.loads(fresh_interpreter(self.DEFERRED_LOAD))
+        assert report["before"] == []
+        assert report["after"]
+        in_process = [
+            [
+                list(run_cli(capsys, "oracle", str(fig_path(g)), "--json")),
+                list(run_cli(capsys, "check", str(fig_path(g)), "--oracle", "--json")),
+            ]
+            for g in GRAPH_IDS
+        ]
+        assert report["outputs"] == in_process
+
+    def test_missing_numpy_is_an_import_error(self):
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # blocks the import, as a missing numpy would\n"
+            "try:\n"
+            "    import colored_ssc.cli\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
         )
-        assert done.stdout.strip() == "[]"
+        assert fresh_interpreter(code).strip() == "colored_ssc.oracle needs numpy, which is not installed"
 
 
 class TestSoundnessTripwire:

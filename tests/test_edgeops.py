@@ -5,37 +5,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from colored_ssc import (
-    ColoredDigraph,
-    RemoveEdges,
-    TurnColor,
-    apply_remove_edges,
-    apply_turn_color,
-    derived_set_greedy,
-    edges_to_white,
-    eeo_derived_set,
-    find_edge_ops,
-    is_zero_forcing_set,
-    sample_realization,
-    zero_extension_derived_set,
-)
-from colored_ssc import forcing
+from colored_ssc import edgeops, forcing
 from colored_ssc.analysis import analyze
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
-from colored_ssc import edgeops, validate, vset
 from colored_ssc.edgeops import (
     ColorMismatchError,
     EdgeOpError,
     EmptyEdgeSetError,
     MixedColorsError,
     NotNestedError,
+    RemoveEdges,
     SameColorError,
+    TurnColor,
     UnknownColorError,
     apply_op,
+    apply_remove_edges,
+    apply_turn_color,
+    edges_to_white,
+    eeo_derived_set,
+    find_edge_ops,
     op_delta,
     stage_key,
 )
-from colored_ssc.oracle import Realization, weighted_adjacency
+from colored_ssc.forcing import derived_set_greedy, is_zero_forcing_set
+from colored_ssc.graph import ColoredDigraph, validate, vset
+from colored_ssc.oracle import (
+    Realization,
+    sample_realization,
+    weighted_adjacency,
+    zero_extension_derived_set,
+)
 
 from conftest import labels, members1, random_digraph, reference_eeo_derived_set
 

@@ -10,26 +10,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colored_ssc import (
-    ColoredDigraph,
-    analyze,
+from colored_ssc import forcing
+from colored_ssc.analysis import analyze
+from colored_ssc.bipartite import enumerate_matchings, equivalence_classes, slice_signature
+from colored_ssc.corpus import load as load_fig
+from colored_ssc.forcing import (
+    DEFAULT_CONFIG,
+    SearchBoundExceededError,
+    SearchConfig,
     derived_set_greedy,
     find_forces,
     iter_forces,
-    is_balancing_set,
     is_color_perfect,
     is_zero_forcing_set,
+)
+from colored_ssc.graph import (
+    ColoredDigraph,
+    induced_bipartite,
+    iter_vset,
+    slice_key,
+    vset,
+    white_out_neighbors,
+)
+from colored_ssc.oracle import (
+    is_balancing_set,
     sample_realization,
     weighted_adjacency,
     zero_extension_derived_set,
 )
-from colored_ssc import enumerate_matchings, equivalence_classes, induced_bipartite
-from colored_ssc import vset, white_out_neighbors
-from colored_ssc import forcing
-from colored_ssc.bipartite import slice_signature
-from colored_ssc.corpus import load as load_fig
-from colored_ssc.forcing import DEFAULT_CONFIG, SearchBoundExceededError, SearchConfig
-from colored_ssc.graph import iter_vset, slice_key
 
 from conftest import (
     all_subsets_forces,

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colored_ssc import serialize
 from colored_ssc.cli import main
 from colored_ssc.corpus import GRAPH_IDS, path as fig_path
+from colored_ssc.graph import serialize
 
 from conftest import random_digraph
 

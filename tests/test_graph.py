@@ -8,8 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colored_ssc import (
+from colored_ssc import graph
+from colored_ssc.corpus import GRAPH_IDS, load as load_fig
+from colored_ssc.graph import (
+    BadLeaderError,
     ColoredDigraph,
+    ColorOutOfRangeError,
+    DuplicateEdgeError,
+    EmptyColorError,
+    GraphFormatError,
+    SelfLoopError,
+    dumps,
     induced_bipartite,
     out_neighbors,
     serialize,
@@ -18,16 +27,6 @@ from colored_ssc import (
     vset,
     vset_labels,
     white_out_neighbors,
-)
-from colored_ssc.corpus import GRAPH_IDS, load as load_fig
-from colored_ssc.graph import (
-    BadLeaderError,
-    ColorOutOfRangeError,
-    DuplicateEdgeError,
-    EmptyColorError,
-    GraphFormatError,
-    SelfLoopError,
-    dumps,
 )
 
 from conftest import MALFORMED_FIELDS, labels, members1
@@ -78,6 +77,29 @@ class TestValidate:
         loose = {"n": 2.0, "colors": ["c1"], "edges": [[1.0, "2", 1]], "leaders": ["1"]}
         strict = {"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], "leaders": [1]}
         assert validate(loose) == validate(strict)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[1, 2, True], [1.0, 2, 1], ["1", 2, 1], [1.5, 2, 1], [1, 2], [1, 2, "x"], [1, None, 1]],
+    )
+    def test_edge_entry_matches_per_field_parse(self, monkeypatch, entry):
+        # plain-int entries skip the per-field check; every other entry must
+        # give the graph or the error text the checked parse gives
+        def checked_edge(entry):
+            if len(entry) != 3:
+                raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
+            tail, head, color = (graph._integer(x) for x in entry)
+            return tail - 1, head - 1, color - 1
+
+        def outcome():
+            try:
+                return validate({"n": 2, "colors": ["c1"], "edges": [entry]})
+            except GraphFormatError as exc:
+                return type(exc), str(exc)
+
+        fast = outcome()
+        monkeypatch.setattr(graph, "_edge", checked_edge)
+        assert fast == outcome()
 
     def test_size_bound(self):
         with pytest.raises(GraphFormatError):

@@ -10,25 +10,21 @@ from itertools import product
 import numpy as np
 import pytest
 
-from colored_ssc import (
-    ColoredDigraph,
-    is_balancing_set,
-    sample_realization,
-    sampled_verdict,
-    uncontrollable_witness,
-    validate,
-    vset,
-    weighted_adjacency,
-    zero_extension_derived_set,
-)
 from colored_ssc import oracle
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
+from colored_ssc.graph import ColoredDigraph, validate, vset
 from colored_ssc.oracle import (
     BATCH_BYTES,
     InvalidTrialsError,
     NoLeadersError,
     Realization,
     ZeroExtensionTrace,
+    is_balancing_set,
+    sample_realization,
+    sampled_verdict,
+    uncontrollable_witness,
+    weighted_adjacency,
+    zero_extension_derived_set,
 )
 
 from conftest import (
