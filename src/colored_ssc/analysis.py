@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .edgeops import EdgeOp, EeoTrace, RemoveEdges, TurnColor, eeo_derived_set
-from .forcing import DEFAULT_CONFIG, DerivationTrace, SearchConfig
+from .forcing import DerivationTrace
 # Unused here; kept bound because perfbench/tracing.py wraps this name.
 from .forcing import is_zero_forcing_set  # noqa: F401
 from .graph import ColoredDigraph, serialize, vset_labels
@@ -32,8 +32,7 @@ class AnalysisReport:
     graph_id: str
     verdict: str
     method: str  # ZFS | EEO | NONE
-    zfs_trace: DerivationTrace | None
-    eeo_trace: EeoTrace | None
+    trace: EeoTrace  # for ZFS, one derivation and no edge operations
     oracle: OracleVerdict | None = None
 
     def to_jsonable(self, g: ColoredDigraph) -> dict:
@@ -43,10 +42,10 @@ class AnalysisReport:
             "method": self.method,
             "graph": serialize(g),
         }
-        if self.zfs_trace is not None:
-            out["forcing"] = derivation_to_jsonable(self.zfs_trace)
-        if self.eeo_trace is not None:
-            out["edge_operations"] = eeo_to_jsonable(self.eeo_trace)
+        if self.method == "ZFS":
+            out["forcing"] = derivation_to_jsonable(self.trace.derivations[0])
+        else:
+            out["edge_operations"] = eeo_to_jsonable(self.trace)
         if self.oracle is not None:
             out["oracle"] = self.oracle.to_jsonable()
         return out
@@ -103,7 +102,6 @@ def analyze(
     trials: int = 100,
     seed: int = 0,
     budget: int | None = None,
-    config: SearchConfig = DEFAULT_CONFIG,
 ) -> AnalysisReport:
     """One edge-operation search from the leader set decides the verdict.
 
@@ -115,26 +113,15 @@ def analyze(
     if not g.leaders:
         raise NoLeadersError("analysis requires a leader set")
     leader_mask = g.leader_mask
-    trace = eeo_derived_set(g, leader_mask, budget, config)
-    zfs_trace, eeo_trace = None, trace
-    if trace.complete and not trace.ops:
-        verdict, method = VERDICT_CONTROLLABLE, "ZFS"
-        zfs_trace, eeo_trace = trace.derivations[0], None
-        if not zfs_trace.replay_ok(g):
-            raise SoundnessError(f"graph {graph_id or '<memory>'}: forcing witness does not replay")
-    elif trace.complete:
-        verdict, method = VERDICT_CONTROLLABLE, "EEO"
+    trace = eeo_derived_set(g, leader_mask, budget)
+    if trace.complete:
+        verdict, method = VERDICT_CONTROLLABLE, "EEO" if trace.ops else "ZFS"
         if not trace.replay_ok():
-            raise SoundnessError(f"graph {graph_id or '<memory>'}: derivation trace does not replay")
+            what = "derivation trace" if trace.ops else "forcing witness"
+            raise SoundnessError(f"graph {graph_id or '<memory>'}: {what} does not replay")
     else:
         verdict, method = VERDICT_UNDECIDED, "NONE"
-    report = AnalysisReport(
-        graph_id=graph_id,
-        verdict=verdict,
-        method=method,
-        zfs_trace=zfs_trace,
-        eeo_trace=eeo_trace,
-    )
+    report = AnalysisReport(graph_id=graph_id, verdict=verdict, method=method, trace=trace)
     if use_oracle:
         report.oracle = sampled_verdict(g, leader_mask, trials=trials, seed=seed)
         if verdict == VERDICT_CONTROLLABLE and not report.oracle.corroborated:

@@ -6,7 +6,7 @@ root stage is the zero-forcing test, and exits 0 for CONTROLLABLE, 2 for
 UNDECIDED.  ``oracle`` prints the balancing test's verdict over sampled
 realizations.  Every command exits 1 for input and usage errors, out-of-range
 options included; 3 when the input needs more exhaustive search than a cap allows
-(force-source subsets past ``SearchConfig.max_source_cap``, or a slice
+(force-source subsets past ``forcing.MAX_SOURCE_CAP``, or a slice
 side past ``bipartite.ENUMERATION_CAP``); a soundness violation (positive
 certificate contradicted by the oracle) aborts with exit code 70.  Set
 COLORED_SSC_LOG=debug for trace-level logging.
@@ -84,10 +84,14 @@ def _int_at_least(low: int):
     return integer
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags(
+    parser: argparse.ArgumentParser, with_json: bool = True, with_seed: bool = False
+) -> None:
     parser.add_argument("path", help="graph JSON file")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=_int_at_least(0), default=0)
+    if with_json:
+        parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    if with_seed:
+        parser.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _parse_labels(text: str, n: int, flag: str) -> int:
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a graph file and echo canonical form")
-    _common_flags(p)
+    _common_flags(p, with_json=False)
 
     p = sub.add_parser("bipartite", help="matchings and classes of an induced slice")
     _common_flags(p)
@@ -124,17 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot-dir", help="write per-stage DOT files into this directory")
 
     p = sub.add_parser("oracle", help="sampled balancing check over realizations")
-    _common_flags(p)
+    _common_flags(p, with_seed=True)
     p.add_argument("--trials", type=_int_at_least(1), default=100)
 
     p = sub.add_parser("check", help="full verdict pipeline (exit 0/2/1/3)")
-    _common_flags(p)
+    _common_flags(p, with_seed=True)
     p.add_argument("--oracle", action="store_true", help="attach a sampled cross-check")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--budget", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("export-dot", help="DOT rendering of the graph or a derived stage")
-    _common_flags(p)
+    _common_flags(p, with_json=False)
     p.add_argument("--stage", type=int, default=0, help="0 = input graph, k = after k-th op")
     p.add_argument("--budget", type=_int_at_least(1), default=None)
     p.add_argument("-o", "--output", help="output file (default stdout)")
@@ -287,7 +291,7 @@ def _cmd_check(args) -> int:
     )
     payload = report.to_jsonable(g)
     method = f"method {report.method}"
-    if report.eeo_trace is not None and report.eeo_trace.budget_exhausted:
+    if report.trace.budget_exhausted:
         method += ", budget exhausted"
     lines = [f"{report.graph_id}: {report.verdict} ({method})"]
     if report.oracle is not None:

@@ -15,12 +15,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .forcing import (
-    DEFAULT_CONFIG,
-    DerivationTrace,
-    SearchConfig,
-    derivation_outcomes,
-)
+from .forcing import DerivationTrace, derivation_outcomes
 from .graph import ColoredDigraph, iter_vset, vset_labels, white_out_neighbors
 
 
@@ -278,21 +273,16 @@ class EeoTrace:
         return True
 
 
-def eeo_derived_set(
-    g: ColoredDigraph,
-    black: int,
-    budget: int | None = None,
-    config: SearchConfig = DEFAULT_CONFIG,
-) -> EeoTrace:
+def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) -> EeoTrace:
     """Grow the black set by alternating forcing phases with edge operations.
 
     Each stage first searches force derivations; if none reaches V the
     search branches over every maximal derived set and every applicable
     operation on it, depth first.  The root stage is the zero-forcing test
     of ``black``.  Returns the trace with the largest final black set
-    found, preferring complete ones; an exhausted budget of stages (the
-    root one included) flags the trace instead of raising.  A budget below
-    1 raises ValueError.
+    found, preferring complete ones; an exhausted ``budget`` of stages (the
+    root one included; 10 000 when None) flags the trace instead of
+    raising.  A budget below 1 raises ValueError.
 
     Stages are memoized on :func:`stage_key`, all a stage's subtree can
     read; an operation updates the key's edge hash by :func:`op_delta`, and
@@ -303,7 +293,7 @@ def eeo_derived_set(
     collision can only skip a stage, never admit a certificate: every
     certificate replays.
     """
-    limit = config.eeo_budget if budget is None else budget
+    limit = 10_000 if budget is None else budget
     if limit < 1:
         raise ValueError(f"edge-operation budget must be >= 1, got {limit}")
     states = 0
@@ -326,7 +316,7 @@ def eeo_derived_set(
         states += 1
         if states > limit:
             return None
-        witness, stuck = derivation_outcomes(graph, current, config=config)
+        witness, stuck = derivation_outcomes(graph, current)
         if witness is not None:
             return EeoTrace(graphs + (graph,), derivations + (witness,), ops)
         # Prefer branching from larger derived sets; ties break on the mask.

@@ -21,28 +21,13 @@ from .graph import induced_bipartite  # noqa: F401
 
 
 class SearchBoundExceededError(RuntimeError):
-    """Subset enumeration would exceed the configured budget."""
+    """Subset enumeration would exceed the source budget."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budgets for the exponential parts of the analysis.
-
-    ``max_source_cap`` bounds the work of one force-source enumeration:
-    it may look at no more than ``2**max_source_cap - 1`` candidate
-    subsets (as many as a black set of ``max_source_cap`` vertices has).
-    Candidates are the black vertices with a white out-neighbor, so any
-    black set up to the cap is always enumerated in full.  Beyond the
-    budget the exhaustive search refuses (greedy callers may truncate
-    instead).  ``eeo_budget`` caps the number of distinct stages the
-    edge-operation search expands.
-    """
-
-    max_source_cap: int = 12
-    eeo_budget: int = 10_000
-
-
-DEFAULT_CONFIG = SearchConfig()
+# One force-source enumeration looks at no more than 2**MAX_SOURCE_CAP - 1
+# candidate subsets, as many as a black set of MAX_SOURCE_CAP vertices has;
+# beyond that the exhaustive search refuses and the greedy one truncates.
+MAX_SOURCE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -101,20 +86,17 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
 
 
 def _source_domain(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig,
-    allow_truncation: bool,
+    g: ColoredDigraph, black: int, allow_truncation: bool
 ) -> tuple[list[tuple[int, int]], int, bool]:
     """Where force sources can come from at ``black``.
 
     Returns the candidates as (vertex bit, white out-neighbors) pairs, the
     largest source size to enumerate, and whether that size was cut down to
-    fit ``config.max_source_cap``.  Only black vertices with a white
+    fit :data:`MAX_SOURCE_CAP`.  Only black vertices with a white
     out-neighbor are candidates (any other one is a zero row of every slice
     it joins), and a source has at most as many members as there are white
     vertices.  The candidate subsets up to the size limit may number at most
-    ``2**max_source_cap - 1``, the subsets of a black set at the cap.
+    ``2**MAX_SOURCE_CAP - 1``, the subsets of a black set at the cap.
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
@@ -122,7 +104,7 @@ def _source_domain(
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
     limit = min(len(candidates), white.bit_count())
-    budget = (1 << config.max_source_cap) - 1
+    budget = (1 << MAX_SOURCE_CAP) - 1
     subsets = 0
     for size in range(1, limit + 1):
         subsets += comb(len(candidates), size)
@@ -130,18 +112,13 @@ def _source_domain(
             if not allow_truncation:
                 raise SearchBoundExceededError(
                     f"sources of up to {limit} of {len(candidates)} candidate vertices "
-                    f"exceed the budget of 2**{config.max_source_cap} - 1 subsets"
+                    f"exceed the budget of 2**{MAX_SOURCE_CAP} - 1 subsets"
                 )
             return candidates, size - 1, True
     return candidates, limit, False
 
 
-def iter_forces(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig = DEFAULT_CONFIG,
-    allow_truncation: bool = False,
-) -> Iterator[Force]:
+def iter_forces(g: ColoredDigraph, black: int) -> Iterator[Force]:
     """The forces available at ``black``, smallest source first, each slice
     tested only when the next force is asked for.
 
@@ -149,23 +126,16 @@ def iter_forces(
     size, so the order is reproducible.  Only sources that can force are
     enumerated: subsets of the black vertices with a white out-neighbor, no
     larger than the white set.  When those subsets number more than
-    ``2**config.max_source_cap - 1``, the call itself raises
-    :class:`SearchBoundExceededError`, or with ``allow_truncation`` keeps
-    the largest source size whose subsets fit; either is decided before any
-    slice is tested.
+    ``2**MAX_SOURCE_CAP - 1``, the call itself raises
+    :class:`SearchBoundExceededError`, before any slice is tested.
     """
-    candidates, limit, _ = _source_domain(g, black, config, allow_truncation)
+    candidates, limit, _ = _source_domain(g, black, allow_truncation=False)
     return _forces_from(g, candidates, limit)
 
 
-def find_forces(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig = DEFAULT_CONFIG,
-    allow_truncation: bool = False,
-) -> list[Force]:
+def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
     """All forces available at ``black``, in the order of :func:`iter_forces`."""
-    return list(iter_forces(g, black, config, allow_truncation))
+    return list(iter_forces(g, black))
 
 
 def _forces_from(
@@ -200,16 +170,12 @@ def _forces_from(
                     yield Force(source=source, target=target, class_signature=signature)
 
 
-def derived_set_greedy(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig = DEFAULT_CONFIG,
-) -> DerivationTrace:
+def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:
     """Apply the first force of each step until none remain; no backtracking.
 
     Forces come smallest source first (see :func:`iter_forces`), so each
     step takes a smallest source, lexicographically first within its size.
-    A step whose candidate subsets pass the configured budget only looks at
+    A step whose candidate subsets pass the source budget only looks at
     sources of the largest size that fits, and the returned trace is
     flagged as truncated.
     """
@@ -217,7 +183,7 @@ def derived_set_greedy(
     steps: list[Force] = []
     truncated = False
     while True:
-        candidates, limit, cut = _source_domain(g, black, config, allow_truncation=True)
+        candidates, limit, cut = _source_domain(g, black, allow_truncation=True)
         truncated |= cut
         force = next(_forces_from(g, candidates, limit), None)
         if force is None:
@@ -228,9 +194,7 @@ def derived_set_greedy(
 
 
 def derivation_outcomes(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig = DEFAULT_CONFIG,
+    g: ColoredDigraph, black: int
 ) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
     """Backtracking search over force choices.
 
@@ -253,7 +217,7 @@ def derivation_outcomes(
         if black in dead:
             return False
         forced = False
-        for force in iter_forces(g, black, config):
+        for force in iter_forces(g, black):
             forced = True
             path.append(force)
             if dfs(black | force.target):
@@ -270,11 +234,7 @@ def derivation_outcomes(
     return None, stuck
 
 
-def is_zero_forcing_set(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig = DEFAULT_CONFIG,
-) -> tuple[bool, DerivationTrace | None]:
+def is_zero_forcing_set(g: ColoredDigraph, black: int) -> tuple[bool, DerivationTrace | None]:
     """Whether some chronological list of forces colors every vertex black."""
-    witness, _ = derivation_outcomes(g, black, config)
+    witness, _ = derivation_outcomes(g, black)
     return (witness is not None), witness

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
+from .bipartite import ColoredBipartite
+
 MAX_VERTICES = 62  # bitmask sets; desk-scale verification target
 
 # Deterministic edge colorization for DOT output, cycled by color index.
@@ -63,12 +65,7 @@ def vset(vertices: Iterable[int]) -> int:
 
 def vset_members(mask: int) -> tuple[int, ...]:
     """Sorted 0-based members of a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(iter_vset(mask))
 
 
 def iter_vset(mask: int) -> Iterator[int]:
@@ -169,13 +166,6 @@ class ColoredDigraph:
         return vset(self.leaders) if self.leaders else 0
 
 
-def out_neighbors(g: ColoredDigraph, v: int) -> int:
-    """All out-neighbors of ``v`` as a bitmask."""
-    if not 0 <= v < g.n:
-        raise GraphFormatError(f"vertex {v + 1} outside range")
-    return g.out_masks[v]
-
-
 def white_out_neighbors(g: ColoredDigraph, source: int, black: int) -> int:
     """Out-neighbors of the vertex set ``source`` that lie outside ``black``.
 
@@ -189,15 +179,13 @@ def white_out_neighbors(g: ColoredDigraph, source: int, black: int) -> int:
     return mask & ~black & g.full_mask
 
 
-def induced_bipartite(g: ColoredDigraph, source: int, black: int):
+def induced_bipartite(g: ColoredDigraph, source: int, black: int) -> ColoredBipartite:
     """Colored bipartite slice between ``source`` and its white out-neighbors.
 
     The X side is ``source``, the Y side is ``white_out_neighbors(g, source,
     black)``; colors are renumbered to the cells actually present, with
     ``color_map`` pointing back at the graph's global color indices.
     """
-    from .bipartite import ColoredBipartite
-
     x_vertices = vset_members(source)
     y_vertices = vset_members(white_out_neighbors(g, source, black))
     x_index = {v: i for i, v in enumerate(x_vertices)}

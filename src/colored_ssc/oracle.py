@@ -140,11 +140,6 @@ def _stacked_adjacency(
     return w
 
 
-def weighted_adjacency(g: ColoredDigraph, r: Realization) -> np.ndarray:
-    """W with the weight of edge (tail, head) stored at [head, tail]."""
-    return _stacked_adjacency(g, _edge_arrays(g), [r])[0]
-
-
 class _Group(NamedTuple):
     """Realizations that agree on every rank decision so far, with the
     state they share: the zero set, its trace, the white vertices, and the

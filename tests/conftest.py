@@ -3,9 +3,9 @@ and the reference routes the production code is checked against (all-subsets
 force enumeration, the eager force enumeration that tests every slice,
 matching classes, the determinant without peeling, the classic forcing rule,
 the edge-operation search memoized on exact states, numeric realizations of
-slice patterns and the determinant's value there, the Kalman rank test, zero
-extension solved from scratch each round or run one realization at a time,
-the per-trial sampled verdict)."""
+slice patterns and the determinant's value there, the weighted adjacency of
+one realization, the Kalman rank test, zero extension solved from scratch
+each round or run one realization at a time, the per-trial sampled verdict)."""
 
 from __future__ import annotations
 
@@ -27,10 +27,8 @@ from colored_ssc.bipartite import (
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
 from colored_ssc.forcing import (
-    DEFAULT_CONFIG,
     Force,
     SearchBoundExceededError,
-    SearchConfig,
     derivation_outcomes,
     is_color_perfect,
 )
@@ -47,9 +45,9 @@ from colored_ssc.graph import (
 from colored_ssc.oracle import (
     NULLSPACE_REL_TOL,
     OracleVerdict,
+    Realization,
     ZeroExtensionTrace,
     sample_realization,
-    weighted_adjacency,
 )
 
 
@@ -166,17 +164,15 @@ def all_subsets_forces(
     return forces
 
 
-def eager_forces(
-    g: ColoredDigraph,
-    black: int,
-    config: SearchConfig = DEFAULT_CONFIG,
-    allow_truncation: bool = False,
-) -> list[Force]:
+def eager_forces(g: ColoredDigraph, black: int, allow_truncation: bool = False) -> list[Force]:
     """Reference force list in the eager form: the same candidates, budget
-    and pruned depth-first walk as ``iter_forces``, but every slice whose
-    target is as wide as its source is tested as the walk meets it, and
-    the forces are then sorted by source size.  Slices are tested through
-    ``forcing.slice_signature``, so a spy on that name counts them."""
+    (``forcing.MAX_SOURCE_CAP``, read at call time) and pruned depth-first
+    walk as ``iter_forces``, but every slice whose target is as wide as its
+    source is tested as the walk meets it, and the forces are then sorted
+    by source size.  With ``allow_truncation`` a source budget that would
+    be passed keeps the largest source size that fits, as the greedy
+    derivation does.  Slices are tested through ``forcing.slice_signature``,
+    so a spy on that name counts them."""
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
@@ -184,7 +180,7 @@ def eager_forces(
     subsets = 0
     for size in range(1, limit + 1):
         subsets += math.comb(len(candidates), size)
-        if subsets > (1 << config.max_source_cap) - 1:
+        if subsets > (1 << forcing.MAX_SOURCE_CAP) - 1:
             if not allow_truncation:
                 raise SearchBoundExceededError("past the source budget")
             limit = size - 1
@@ -468,6 +464,14 @@ def kalman_rank(a: np.ndarray, leaders: Sequence[int]) -> KalmanRank:
     sigma = np.linalg.svd(np.hstack(blocks), compute_uv=False)  # n values, descending
     threshold = n * np.finfo(float).eps * sigma[0]
     return KalmanRank(int(np.sum(sigma > threshold)), n, float(sigma[-1]), threshold)
+
+
+def weighted_adjacency(g: ColoredDigraph, r: Realization) -> np.ndarray:
+    """W with the weight of edge (tail, head) stored at [head, tail]."""
+    w = np.zeros((g.n, g.n))
+    for tail, head, color in g.edges:
+        w[head, tail] = r.color_values[g.colors[color]]
+    return w
 
 
 def sampled_diagonal(g: ColoredDigraph, seed: int) -> np.ndarray:

@@ -35,7 +35,6 @@ from colored_ssc.oracle import (
     sample_realization,
     sampled_verdict,
     uncontrollable_witness,
-    weighted_adjacency,
     zero_extension_derived_set,
 )
 
@@ -52,6 +51,7 @@ from conftest import (
     record_criterion,
     sample_color_values,
     sampled_diagonal,
+    weighted_adjacency,
 )
 
 PAIRED_REALIZATIONS = 100

@@ -124,6 +124,15 @@ class TestUsage:
             ("check", "--max-source", "2"),
             ("forcing", "--max-source", "1"),
             ("oracle", "--tolerance", "1e-9"),
+            # --json and --seed exist only on the commands that read them
+            ("validate", "--json"),
+            ("validate", "--seed", "1"),
+            ("bipartite", "--x", "1", "--seed", "-2"),
+            ("forcing", "--seed", "-1"),
+            ("forcing", "--greedy", "--seed", "-1"),
+            ("eeo-derive", "--seed", "2"),
+            ("export-dot", "--json"),
+            ("export-dot", "--stage", "1", "--seed", "3"),
         ],
     )
     def test_usage_error_is_input_error(self, capsys, flags):
@@ -138,9 +147,9 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["forcing", "fig2", "--seed", "-1"], "--seed"),
-            (["forcing", "fig2", "--greedy", "--seed", "-1"], "--seed"),
-            (["bipartite", "fig3", "--x", "1", "--seed", "-2"], "--seed"),
+            (["check", "fig5", "--seed", "-1"], "--seed"),
+            (["check", "fig5", "--oracle", "--seed", "-1"], "--seed"),
+            (["oracle", "fig2", "--trials", "5", "--seed", "-2"], "--seed"),
             (["check", "fig5", "--budget", "-3"], "--budget"),
             (["eeo-derive", "fig5", "--budget", "0"], "--budget"),
             (["export-dot", "fig5", "--stage", "1", "--budget", "0"], "--budget"),

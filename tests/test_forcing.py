@@ -15,9 +15,7 @@ from colored_ssc.analysis import analyze
 from colored_ssc.bipartite import enumerate_matchings, equivalence_classes, slice_signature
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.forcing import (
-    DEFAULT_CONFIG,
     SearchBoundExceededError,
-    SearchConfig,
     derived_set_greedy,
     find_forces,
     iter_forces,
@@ -32,12 +30,7 @@ from colored_ssc.graph import (
     vset,
     white_out_neighbors,
 )
-from colored_ssc.oracle import (
-    is_balancing_set,
-    sample_realization,
-    weighted_adjacency,
-    zero_extension_derived_set,
-)
+from colored_ssc.oracle import is_balancing_set, sample_realization, zero_extension_derived_set
 
 from conftest import (
     all_subsets_forces,
@@ -46,6 +39,7 @@ from conftest import (
     labels,
     members1,
     random_digraph,
+    weighted_adjacency,
 )
 
 
@@ -58,6 +52,13 @@ def _private_targets(k: int, n: int = 62) -> ColoredDigraph:
     every subset of the black set is a force, so the forces found are the
     subsets looked at."""
     return ColoredDigraph(n=n, edges=tuple((v, k + v, 0) for v in range(k)), colors=("c1",))
+
+
+def _truncated_forces(g: ColoredDigraph, black: int) -> list[forcing.Force]:
+    """The forces a greedy step chooses from: past the source budget, only
+    the source sizes whose subsets fit."""
+    candidates, limit, _ = forcing._source_domain(g, black, allow_truncation=True)
+    return list(forcing._forces_from(g, candidates, limit))
 
 
 def _fitting_size(g: ColoredDigraph, black: int, cap: int) -> int:
@@ -137,21 +138,22 @@ class TestFindForces:
         else:
             with pytest.raises(SearchBoundExceededError):
                 find_forces(g, black)
-        forces = find_forces(g, black, allow_truncation=True)
+        forces = _truncated_forces(g, black)
         assert len(forces) <= 2**12 - 1
         size = forces[-1].source.bit_count()
         assert len(forces) == sum(comb(k, s) for s in range(1, size + 1))
 
-    def test_black_sets_within_cap_never_refused(self):
+    def test_black_sets_within_cap_never_refused(self, monkeypatch):
         rng = np.random.default_rng(33)
         for _ in range(200):
             g = random_digraph(rng, n_min=2, n_max=62, edge_prob=0.1, with_leaders=False)
             cap = int(rng.integers(1, 6))
             size = int(rng.integers(1, min(cap, g.n) + 1))
             black = sum(1 << int(v) for v in rng.choice(g.n, size=size, replace=False))
-            find_forces(g, black, config=SearchConfig(max_source_cap=cap))
+            monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", cap)
+            find_forces(g, black)
 
-    def test_matches_all_subsets_reference(self):
+    def test_matches_all_subsets_reference(self, monkeypatch):
         rng = np.random.default_rng(32)
         for trial in range(500):
             g = random_digraph(rng, n_max=9, with_leaders=False)
@@ -166,25 +168,24 @@ class TestFindForces:
                 want = all_subsets_forces(g, black, max_size)
             else:
                 cap = int(rng.integers(2, 7))
-                config = SearchConfig(max_source_cap=cap)
-                got = find_forces(g, black, config, allow_truncation=True)
+                with monkeypatch.context() as m:
+                    m.setattr(forcing, "MAX_SOURCE_CAP", cap)
+                    got = _truncated_forces(g, black)
                 want = all_subsets_forces(g, black, _fitting_size(g, black, cap))
             assert got == want
 
-    def test_small_cap_config(self):
+    def test_small_cap_config(self, monkeypatch):
         g = load_fig("fig8")
-        tight = SearchConfig(max_source_cap=3)
+        monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", 3)
         with pytest.raises(SearchBoundExceededError):
-            find_forces(g, labels(1, 2, 3, 4, 5), config=tight)
-        truncated = find_forces(
-            g, labels(1, 2, 3, 4, 5), config=tight, allow_truncation=True
-        )
+            find_forces(g, labels(1, 2, 3, 4, 5))
+        truncated = _truncated_forces(g, labels(1, 2, 3, 4, 5))
         assert [members1(f.source) for f in truncated] == [(5,)]
 
 
-def _eager_iter(g, black, config=DEFAULT_CONFIG, allow_truncation=False):
+def _eager_iter(g, black):
     """``iter_forces`` drawn from the eager reference."""
-    return iter(eager_forces(g, black, config, allow_truncation))
+    return iter(eager_forces(g, black))
 
 
 def _count_slice_tests(monkeypatch) -> list[int]:
@@ -201,24 +202,25 @@ def _count_slice_tests(monkeypatch) -> list[int]:
 
 
 class TestIterForces:
-    def test_matches_eager_reference(self):
+    def test_matches_eager_reference(self, monkeypatch):
         rng = np.random.default_rng(34)
         raised = truncated = 0
         for _ in range(400):
             g = random_digraph(rng, n_max=12, with_leaders=False)
             black = int(rng.integers(1, g.full_mask + 1))
             assert list(iter_forces(g, black)) == eager_forces(g, black)
-            tight = SearchConfig(max_source_cap=int(rng.integers(1, 5)))
-            try:
-                want = eager_forces(g, black, tight)
-            except SearchBoundExceededError:
-                raised += 1
-                with pytest.raises(SearchBoundExceededError):
-                    iter_forces(g, black, tight)
-            else:
-                assert list(iter_forces(g, black, tight)) == want
-            got = list(iter_forces(g, black, tight, allow_truncation=True))
-            assert got == eager_forces(g, black, tight, allow_truncation=True)
+            with monkeypatch.context() as m:
+                m.setattr(forcing, "MAX_SOURCE_CAP", int(rng.integers(1, 5)))
+                try:
+                    want = eager_forces(g, black)
+                except SearchBoundExceededError:
+                    raised += 1
+                    with pytest.raises(SearchBoundExceededError):
+                        iter_forces(g, black)
+                else:
+                    assert list(iter_forces(g, black)) == want
+                got = _truncated_forces(g, black)
+                assert got == eager_forces(g, black, allow_truncation=True)
             truncated += got != eager_forces(g, black)
         assert raised > 50 and truncated > 20
 
@@ -227,8 +229,9 @@ class TestIterForces:
         g, black = _private_targets(13), (1 << 13) - 1
         with pytest.raises(SearchBoundExceededError):
             iter_forces(g, black)  # the call raises; nothing is iterated
-        forces = iter_forces(g, black, allow_truncation=True)
-        assert calls[0] == 0
+        candidates, limit, cut = forcing._source_domain(g, black, allow_truncation=True)
+        forces = forcing._forces_from(g, candidates, limit)
+        assert cut and calls[0] == 0
         assert next(forces).source == 1 and calls[0] == 1
 
     def test_search_tests_fewer_slices(self, monkeypatch):
@@ -246,27 +249,25 @@ class TestIterForces:
         # analyze meets the same black sets, and refuses at the same one,
         # whether forces come lazily or from the eager reference
         rng = np.random.default_rng(35)
-        cases = [
-            (random_digraph(rng, n_max=10), SearchConfig(max_source_cap=int(rng.integers(1, 5))))
-            for _ in range(120)
-        ]
+        cases = [(random_digraph(rng, n_max=10), int(rng.integers(1, 5))) for _ in range(120)]
 
-        def run(search, g, config):
+        def run(search, g, cap):
             seen: list[int] = []
 
-            def recording(graph, black, *args, **kwargs):
+            def recording(graph, black):
                 seen.append(black)
-                return search(graph, black, *args, **kwargs)
+                return search(graph, black)
 
             monkeypatch.setattr(forcing, "iter_forces", recording)
+            monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", cap)
             try:
-                analyze(g, budget=20, config=config)
+                analyze(g, budget=20)
             except SearchBoundExceededError:
                 return seen, True
             return seen, False
 
-        lazy = [run(iter_forces, g, config) for g, config in cases]
-        assert lazy == [run(_eager_iter, g, config) for g, config in cases]
+        lazy = [run(iter_forces, g, cap) for g, cap in cases]
+        assert lazy == [run(_eager_iter, g, cap) for g, cap in cases]
         assert sum(raised for _, raised in lazy) > 10
 
 
@@ -290,11 +291,10 @@ class TestGreedyDerivation:
         trace = derived_set_greedy(g, labels(1, 2, 3, 4, 5))
         assert members1(trace.final) == (1, 2, 3, 4, 5, 6)
 
-    def test_truncation_flagged(self):
+    def test_truncation_flagged(self, monkeypatch):
         g = load_fig("fig8")
-        trace = derived_set_greedy(
-            g, labels(1, 2, 3, 4, 5), config=SearchConfig(max_source_cap=3)
-        )
+        monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", 3)
+        trace = derived_set_greedy(g, labels(1, 2, 3, 4, 5))
         assert trace.truncated
         assert [members1(f.source) for f in trace.steps] == [(5,)]
 

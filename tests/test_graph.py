@@ -20,7 +20,6 @@ from colored_ssc.graph import (
     SelfLoopError,
     dumps,
     induced_bipartite,
-    out_neighbors,
     serialize,
     to_dot,
     validate,
@@ -108,14 +107,14 @@ class TestValidate:
 
 class TestQueries:
     def test_out_neighbors_fig5(self):
-        assert members1(out_neighbors(load_fig("fig5"), 1)) == (3, 4, 5)
+        assert members1(load_fig("fig5").out_masks[1]) == (3, 4, 5)
 
     def test_out_neighbors_isolated(self):
         g = ColoredDigraph(n=3, edges=((0, 1, 0),), colors=("c1",))
-        assert out_neighbors(g, 2) == 0
+        assert g.out_masks[2] == 0
 
     def test_out_neighbors_fig4(self):
-        assert members1(out_neighbors(load_fig("fig4"), 0)) == (3, 4, 5, 6)
+        assert members1(load_fig("fig4").out_masks[0]) == (3, 4, 5, 6)
 
     def test_white_out_neighbors_fig4(self):
         g = load_fig("fig4")

@@ -23,7 +23,6 @@ from colored_ssc.oracle import (
     sample_realization,
     sampled_verdict,
     uncontrollable_witness,
-    weighted_adjacency,
     zero_extension_derived_set,
 )
 
@@ -37,6 +36,7 @@ from conftest import (
     random_digraph,
     reference_zero_extension,
     sampled_diagonal,
+    weighted_adjacency,
 )
 
 # Graphs at the edges of the input range: no edge at all (W = 0, so no
