@@ -43,6 +43,7 @@ from .graph import (
     GraphFormatError,
     dumps,
     induced_bipartite,
+    json_text,
     load_graph,
     to_dot,
     vset_from_labels,
@@ -84,14 +85,10 @@ def _int_at_least(low: int):
     return integer
 
 
-def _common_flags(
-    parser: argparse.ArgumentParser, with_json: bool = True, with_seed: bool = False
-) -> None:
+def _common_flags(parser: argparse.ArgumentParser, with_json: bool = True) -> None:
     parser.add_argument("path", help="graph JSON file")
     if with_json:
         parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    if with_seed:
-        parser.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _parse_labels(text: str, n: int, flag: str) -> int:
@@ -128,13 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot-dir", help="write per-stage DOT files into this directory")
 
     p = sub.add_parser("oracle", help="sampled balancing check over realizations")
-    _common_flags(p, with_seed=True)
+    _common_flags(p)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--trials", type=_int_at_least(1), default=100)
 
     p = sub.add_parser("check", help="full verdict pipeline (exit 0/2/1/3)")
-    _common_flags(p, with_seed=True)
+    _common_flags(p)
+    # None when not given: only --oracle reads them, analyze holds the defaults
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--oracle", action="store_true", help="attach a sampled cross-check")
-    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=None)
     p.add_argument("--budget", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("export-dot", help="DOT rendering of the graph or a derived stage")
@@ -156,7 +156,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print("\n".join(lines))
 
@@ -280,14 +280,20 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    sampling = {
+        name: value
+        for name, value in (("trials", args.trials), ("seed", args.seed))
+        if value is not None
+    }
+    if sampling and not args.oracle:
+        raise ValueError(f"nothing reads --{', --'.join(sampling)} without --oracle")
     g = load_graph(args.path)
     report = analyze(
         g,
         graph_id=Path(args.path).stem,
         use_oracle=args.oracle,
-        trials=args.trials,
-        seed=args.seed,
         budget=args.budget,
+        **sampling,
     )
     payload = report.to_jsonable(g)
     method = f"method {report.method}"
@@ -304,6 +310,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    if args.stage == 0 and args.budget is not None:
+        raise ValueError("nothing reads --budget at --stage 0")
     if args.stage == 0:
         g = load_graph(args.path)
         text = to_dot(g)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping
 
 from .bipartite import ColoredBipartite
@@ -294,7 +296,71 @@ def serialize(g: ColoredDigraph) -> dict:
 
 
 def dumps(g: ColoredDigraph) -> str:
-    return json.dumps(serialize(g), indent=2) + "\n"
+    return json_text(serialize(g)) + "\n"
+
+
+def json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, written faster.
+
+    With an indent, ``json`` leaves its C encoder for a pure-Python one that
+    makes a generator call per value; this writer joins whole lists of plain
+    ints at once, and fills one ``%d`` template for a list of equally long
+    int rows (the edges).  It takes exactly the types the reports hold:
+    ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``float``, ``bool`` and ``None``; a value of any other type, subclasses
+    included, raises ``TypeError``.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is float:
+        return json.dumps(obj)  # NaN and Infinity spelled as json spells them
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is dict:
+        # a key that is not a str makes encode_basestring_ascii raise TypeError
+        body = sep.join([
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in obj.items()
+        ])
+        return "{" + inner + body + newline + "}"
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        body = sep.join(map(str, obj))
+    else:
+        body = _int_rows(obj, kinds, inner) or sep.join([_json_text(x, inner) for x in obj])
+    return "[" + inner + body + newline + "]"
+
+
+def _int_rows(rows, kinds: set, newline: str) -> str:
+    """The items of ``rows`` by one ``%d`` template when they are equally
+    long, nonempty lists of plain ints; "" otherwise."""
+    if not kinds <= {list, tuple}:
+        return ""
+    widths = set(map(len, rows))
+    width = widths.pop()
+    if widths or not width:
+        return ""
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return ""
+    cell = "," + newline + "  "
+    row = "[" + cell[1:] + cell.join(["%d"] * width) + newline + "]"
+    return ("," + newline).join([row] * len(rows)) % flat
 
 
 def load_graph(path) -> ColoredDigraph:

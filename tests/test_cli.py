@@ -111,8 +111,9 @@ class TestCheck:
         assert json.loads(out)["edge_operations"]["budget_exhausted"] is True
 
     def test_exit_codes_stable(self, capsys):
-        first = run_cli(capsys, "check", str(fig_path("fig8")), "--json", "--seed", "7")
-        second = run_cli(capsys, "check", str(fig_path("fig8")), "--json", "--seed", "7")
+        argv = ("check", str(fig_path("fig8")), "--json", "--oracle", "--seed", "7")
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
         assert first == second
 
 
@@ -167,6 +168,28 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: argument {flag}:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "fig5", "--seed", "7"], "nothing reads --seed without --oracle"),
+            (["check", "fig5", "--json", "--seed", "0"], "nothing reads --seed without --oracle"),
+            (["check", "fig5", "--trials", "5"], "nothing reads --trials without --oracle"),
+            (
+                ["check", "fig5", "--seed", "1", "--trials", "5", "--budget", "9"],
+                "nothing reads --trials, --seed without --oracle",
+            ),
+            (["export-dot", "fig5", "--budget", "3"], "nothing reads --budget at --stage 0"),
+            (["export-dot", "fig7a", "--stage", "0", "--budget", "1"], "nothing reads --budget at --stage 0"),
+        ],
+    )
+    def test_unread_flag_is_input_error(self, capsys, argv, message):
+        # a flag that changes nothing is refused, not silently ignored
+        command, graph_id, *rest = argv
+        code, out, err = run_cli(capsys, command, str(fig_path(graph_id)), *rest)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_calls_share_no_state(self, capsys):
         # main reuses one parser for the process; no call may leak into the next
@@ -330,6 +353,31 @@ class TestImport:
         # the start-up time of every command
         code = "import sys, colored_ssc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert fresh_interpreter(code).strip() == "[]"
+
+    # What ``import colored_ssc.cli`` adds to a fresh interpreter: the
+    # package, the stdlib modules argparse, dataclasses, json and logging
+    # pull in, and numpy's deferred stub.  Every command pays for each of
+    # them at start-up, so a new one must be added here on purpose.  Modules
+    # the interpreter's own start-up loaded (with site: io, re, typing) cost
+    # nothing more and are not counted.
+    CLI_MODULES = [
+        "__future__", "_ast", "_json", "_opcode", "_string", "argparse", "ast",
+        "colored_ssc", "colored_ssc.analysis", "colored_ssc.bipartite",
+        "colored_ssc.cli", "colored_ssc.edgeops", "colored_ssc.forcing",
+        "colored_ssc.graph", "colored_ssc.oracle", "copy", "dataclasses", "dis",
+        "gettext", "importlib.machinery", "inspect", "json", "json.decoder",
+        "json.encoder", "json.scanner", "linecache", "logging", "numpy",
+        "opcode", "string", "textwrap", "token", "tokenize", "traceback",
+    ]
+
+    def test_cli_loads_pinned_modules(self):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import colored_ssc.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        assert fresh_interpreter(code).split() == self.CLI_MODULES
 
     # In a fresh interpreter: every command but the two oracle ones on corpus
     # graphs, the numpy submodules loaded by then, the two oracle commands

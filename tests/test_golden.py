@@ -1,7 +1,8 @@
 """Golden certificates: ``check --json``, ``forcing --json`` (exhaustive and
-greedy) and ``eeo-derive --json`` on every corpus graph must print exactly
-what ``golden_corpus.json`` holds, and ``check --json --budget 200`` over a
-fixed-seed random sweep must print output with the stored sha256.
+greedy), ``eeo-derive --json``, ``oracle --json --seed 3`` and ``validate``
+on every corpus graph must print exactly what ``golden_corpus.json`` holds,
+and ``check --json --budget 200`` over a fixed-seed random sweep must print
+output with the stored sha256.
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -33,6 +34,8 @@ COMMANDS = {
     "forcing": ("forcing", "--json"),
     "forcing --greedy": ("forcing", "--greedy", "--json"),
     "eeo-derive": ("eeo-derive", "--json"),
+    "oracle --seed 3": ("oracle", "--json", "--seed", "3"),
+    "validate": ("validate",),
 }
 SWEEP = "sweep check --json --budget 200"
 SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
@@ -80,8 +83,8 @@ def test_golden_covers_corpus(golden):
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("graph_id", GRAPH_IDS)
 def test_output_byte_identical(golden, graph_id, command):
-    # the file keeps the parsed report for readable diffs; the CLI prints it
-    # with json.dumps(indent=2), so re-serializing restores the exact bytes
+    # the file keeps the parsed report for readable diffs; the CLI prints the
+    # bytes of json.dumps(indent=2), so re-serializing restores them
     expected = golden[graph_id][command]
     code, out, err = run_corpus(command, graph_id)
     assert code == expected["exit"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colored_ssc import graph
@@ -218,6 +218,54 @@ class TestSerialization:
     def test_dumps_parses(self):
         g = load_fig("fig2")
         assert validate(json.loads(dumps(g))) == g
+
+
+# Values of every type a report holds.  Strings mix quotes, backslashes,
+# control and non-ASCII characters; ints pass 64 bits; rows of ints come
+# equally long (the writer's template path), ragged, or with bools inside.
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n\t", "\u00e9", "\u2028", "\U0001f600", "\ud800"])
+_TEXT = st.lists(_AWKWARD | st.text(max_size=3), max_size=4).map("".join)
+_INTS = st.integers(min_value=-(2**70), max_value=2**70)
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _TEXT
+_ROWS = st.integers(0, 4).flatmap(
+    lambda width: st.lists(st.lists(_INTS | st.booleans(), min_size=width, max_size=width))
+)
+_VALUES = st.recursive(
+    _SCALARS | st.lists(_INTS) | _ROWS | st.lists(st.lists(_INTS)),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=150, deadline=None)
+    @given(_VALUES)
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    @example([[1, 2], [3, False]])
+    @example([1, True, 2])
+    def test_matches_indent_2(self, value):
+        assert graph.json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: "int key"},
+            {"a": {(1, 2): 0}},
+            {1, 2},
+            b"bytes",
+            object(),
+            [1, 2, 1j],
+            [[1, 2], [3, {4}]],
+            {"a": [range(3)]},
+        ],
+    )
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            graph.json_text(value)
 
 
 class TestDot:
