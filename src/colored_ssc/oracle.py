@@ -13,11 +13,18 @@ Householder reflection, and each forced vertex removes its coordinate.
 When a set is not balancing, :func:`uncontrollable_witness` turns that
 basis into a diagonal that makes the pair uncontrollable.
 
-The sampled verdict runs the trials of a graph in lockstep: one stack of
-realizations, one stacked null basis, one numpy call per reflection and
-per forced-vertex test for the whole stack.  Trial 0 runs alone first,
-since a graph that is not balancing fails at a generic realization; the
-rest run in batches whose stacked arrays stay within ``BATCH_BYTES``.
+The sampled verdict first takes the rounds that the graph's support
+decides: a balance equation with one white coefficient forces that
+vertex whatever the nonzero color values are.  Those rounds run on
+bitmasks, with no realization and no tolerance; when they reach every
+vertex the verdict is CORROBORATED without a single draw.  Otherwise the
+trials of the graph resume, in lockstep, from the first round the support
+does not decide: one stack of realizations, one stacked null basis, one
+numpy call per reflection and per forced-vertex test for the whole stack.
+A round admits only equations that still have a white coefficient.
+Trial 0 runs alone first, since a graph that is not balancing fails at a
+generic realization; the rest run in batches whose stacked arrays stay
+within ``BATCH_BYTES``.
 
 numpy is loaded on first use, not on import: the commands that never reach
 this module's routines (every one but ``oracle`` and ``check --oracle``)
@@ -70,6 +77,8 @@ _SQUARED_TOL = NULLSPACE_REL_TOL**2
 
 # Sampled color values keep at least this magnitude.
 MIN_MAGNITUDE = 0.5
+# A color value's sign, indexed by one random bit.
+_SIGNS = (-1.0, 1.0)
 
 # The trials of one graph run in lockstep batches.  Each stacked array of a
 # batch stays within this many bytes: the realizations W hold n * n doubles
@@ -110,12 +119,52 @@ def sample_realization(g: ColoredDigraph, seed: int) -> Realization:
     Color values have magnitude in ``[MIN_MAGNITUDE, 2]`` with random sign.
     No diagonal is drawn: the balancing test quantifies over all of them.
     """
-    rng = np.random.default_rng(seed)
-    magnitudes = rng.uniform(MIN_MAGNITUDE, 2.0, size=len(g.colors))
-    signs = rng.choice((-1.0, 1.0), size=len(g.colors))
+    rng = np.random.Generator(np.random.PCG64(seed))  # what default_rng(seed) builds
+    magnitudes = rng.uniform(MIN_MAGNITUDE, 2.0, size=len(g.colors)).tolist()
+    signs = rng.integers(0, 2, size=len(g.colors)).tolist()  # the draw of choice(_SIGNS)
     return Realization(
-        color_values={name: float(m * s) for name, m, s in zip(g.colors, magnitudes, signs)}
+        color_values={name: m * _SIGNS[s] for name, m, s in zip(g.colors, magnitudes, signs)}
     )
+
+
+def _exact_rounds(
+    out_masks: tuple[int, ...], zero: int, full: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The rounds of zero extension from ``zero`` that the support decides,
+    and the zero set they end on.
+
+    Vertex j's balance equation has a nonzero coefficient at each
+    out-neighbor of j, whatever the color values.  An equation with one
+    unforced white vertex forces it; propagating that through the round's
+    equations gives a set F.  When no equation keeps two or more unforced
+    white vertices, the solutions are exactly the vectors that vanish on F,
+    so the round forces F on every realization.  The rounds stop at the
+    first that leaves such an equation, or that forces nothing.  An
+    equation decided in one round has no white coefficient left after it,
+    so each round reads only the equations of the vertices the last one
+    forced.
+    """
+    steps: list[tuple[int, int]] = []
+    new = zero
+    while zero != full:
+        white = full & ~zero
+        pending = [out_masks[j] & white for j in iter_vset(new)]
+        forced = 0
+        while True:
+            singles = 0
+            for s in pending:
+                if s and not s & (s - 1):
+                    singles |= s
+            if not singles:
+                break
+            forced |= singles
+            pending = [s & ~forced for s in pending if s & ~forced]
+        if pending or not forced:  # two unknowns left, or nothing forced
+            break
+        steps.append((zero, forced))
+        zero |= forced
+        new = forced
+    return tuple(steps), zero
 
 
 def _edge_arrays(g: ColoredDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,12 +219,13 @@ class _Group(NamedTuple):
 
 
 def _zero_extension(
-    w: np.ndarray, zero: int
+    w: np.ndarray, zero: int, steps: tuple[tuple[int, int], ...] = ()
 ) -> list[tuple[ZeroExtensionTrace, np.ndarray, np.ndarray]]:
     """Zero extension from ``zero`` on each realization of the stack ``w``
     (B x n x n), run in lockstep.  One result per realization: its trace,
     the null basis it ends on and the white vertices that index the
-    basis's columns.
+    basis's columns.  ``steps`` are the rounds that led to ``zero``, the
+    prefix of each trace.
 
     A basis has one column per white vertex, and its orthonormal rows span
     the solutions x of the balance equations ``x @ w[white, j] = 0`` of
@@ -194,6 +244,9 @@ def _zero_extension(
     equation is independent, or on which vertices a round forces) the
     group splits, and each part takes that decision again on its own, so
     every trace is the one the realization gives alone.
+
+    An equation with no white coefficient is zero in basis coordinates,
+    dependent in every member, so a round admits only the others.
     """
     n = w.shape[-1]
     white = np.array([v for v in range(n) if not zero >> v & 1], dtype=np.intp)
@@ -201,14 +254,22 @@ def _zero_extension(
     basis[:, range(len(white)), range(len(white))] = 1.0
     wt = w.mT  # row j of each holds the coefficients of vertex j's equation
     limits = _SQUARED_TOL * np.vecdot(wt, wt).T[:, :, None, None]
+    # out_masks[j]: the vertices with a nonzero coefficient in vertex j's
+    # equation in some member of the stack
+    support = np.packbits(np.any(wt, axis=0), axis=1, bitorder="little")
+    out_masks = [int.from_bytes(row.tobytes(), "little") for row in support]
+    admit = [j for j in iter_vset(zero) if out_masks[j] & ~zero]
+    initial = steps[0][0] if steps else zero
     results: list = [None] * len(w)
-    groups = [_Group(np.arange(len(w)), wt, limits, basis, white, zero, list(iter_vset(zero)), [])]
+    groups = [_Group(np.arange(len(w)), wt, limits, basis, white, zero, admit, list(steps))]
     while groups:
-        _advance(groups.pop(), zero, groups, results)
+        _advance(groups.pop(), initial, out_masks, groups, results)
     return results
 
 
-def _advance(group: _Group, initial: int, groups: list[_Group], results: list) -> None:
+def _advance(
+    group: _Group, initial: int, out_masks: list[int], groups: list[_Group], results: list
+) -> None:
     """Run a group to its fixpoint and store its results, or up to a
     decision its members disagree on, and push its parts onto ``groups``."""
     trials, wt, limits, basis, white, zero, admit, steps = group
@@ -247,12 +308,13 @@ def _advance(group: _Group, initial: int, groups: list[_Group], results: list) -
                 for code in range(codes.max() + 1)
             ]
             return
-        admit = white[pattern].tolist()
-        if not admit:
+        forced_list = white[pattern].tolist()
+        if not forced_list:
             break
-        forced_mask = vset(admit)
+        forced_mask = vset(forced_list)
         steps.append((zero, forced_mask))
         zero |= forced_mask
+        admit = [j for j in forced_list if out_masks[j] & ~zero]
         keep = ~pattern
         white = white[keep]
         basis = basis[:, keep]
@@ -344,10 +406,12 @@ def sampled_verdict(
     """Check the balancing property on independent realizations.
 
     Returns the first failing realization if any; trials are indexed
-    deterministically from the seed so failures reproduce.  Trial 0 runs
-    alone, the rest in lockstep batches within ``BATCH_BYTES``; a batch
-    reports its lowest failing trial, so the verdict is the one a loop over
-    the trials in order gives.
+    deterministically from the seed so failures reproduce.  When the rounds
+    the support decides reach every vertex, every realization is balancing
+    and none is drawn.  Otherwise the trials resume from where those rounds
+    stop: trial 0 alone, the rest in lockstep batches within
+    ``BATCH_BYTES``; a batch reports its lowest failing trial, so the
+    verdict is the one a loop over the trials in order gives.
     """
     if trials < 1:
         raise InvalidTrialsError(f"trials must be >= 1, got {trials}")
@@ -355,12 +419,15 @@ def sampled_verdict(
         if not g.leaders:
             raise NoLeadersError("graph has no leader set")
         leader_mask = g.leader_mask
+    steps, zero = _exact_rounds(g.out_masks, leader_mask, g.full_mask)
+    if zero == g.full_mask:
+        return OracleVerdict(corroborated=True, trials=trials)
     edges = _edge_arrays(g)
     batch = max(1, BATCH_BYTES // (8 * g.n * g.n))
     start, stop = 0, 1  # trial 0 alone: a graph that is not balancing fails there
     while start < trials:
         realizations = [sample_realization(g, seed + offset) for offset in range(start, stop)]
-        results = _zero_extension(_stacked_adjacency(g, edges, realizations), leader_mask)
+        results = _zero_extension(_stacked_adjacency(g, edges, realizations), zero, steps)
         for offset, r, (trace, _, _) in zip(range(start, stop), realizations, results):
             if trace.final != g.full_mask:
                 log.debug("counterexample at seed offset %d", offset)

@@ -1,8 +1,10 @@
 """Golden certificates: ``check --json``, ``forcing --json`` (exhaustive and
 greedy), ``eeo-derive --json``, ``oracle --json --seed 3`` and ``validate``
 on every corpus graph must print exactly what ``golden_corpus.json`` holds,
-and ``check --json --budget 200`` over a fixed-seed random sweep must print
-output with the stored sha256.
+and ``check --json --budget 200`` and ``oracle --json --seed 3`` over a
+fixed-seed random sweep must print output with the stored sha256s.  The
+oracle sweep pins the color values of the counterexamples it prints, which
+no corpus graph has.
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -37,7 +39,10 @@ COMMANDS = {
     "oracle --seed 3": ("oracle", "--json", "--seed", "3"),
     "validate": ("validate",),
 }
-SWEEP = "sweep check --json --budget 200"
+SWEEPS = {
+    "sweep check --json --budget 200": ("check", "--json", "--budget", "200"),
+    "sweep oracle --json --seed 3": ("oracle", "--json", "--seed", "3"),
+}
 SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
 
 
@@ -54,10 +59,11 @@ def run_corpus(command: str, graph_id: str) -> tuple[int, str, str]:
     return run([name, str(fig_path(graph_id)), *flags])
 
 
-def sweep_sha256() -> str:
-    """Digest of exit code, stdout and stderr of ``check --json --budget
-    200`` on each graph of a fixed-seed ``random_digraph`` sweep (n = 4-10).
-    Files are named by index, so the reported graph ids are stable."""
+def sweep_sha256(sweep: str) -> str:
+    """Digest of exit code, stdout and stderr of the sweep's command on each
+    graph of a fixed-seed ``random_digraph`` sweep (n = 4-10).  Files are
+    named by index, so the reported graph ids are stable."""
+    name, *flags = SWEEPS[sweep]
     rng = np.random.default_rng(SWEEP_SEED)
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -65,7 +71,7 @@ def sweep_sha256() -> str:
             g = random_digraph(rng, n_min=4, n_max=10, edge_prob=0.3)
             path = Path(tmp) / f"g{i:03d}.json"
             path.write_text(json.dumps(serialize(g)))
-            code, out, err = run(["check", str(path), "--json", "--budget", "200"])
+            code, out, err = run([name, str(path), *flags])
             digest.update(f"{i} {code}\n{out}\n{err}\n".encode())
     return digest.hexdigest()
 
@@ -76,7 +82,7 @@ def golden() -> dict:
 
 
 def test_golden_covers_corpus(golden):
-    assert sorted(golden) == sorted([*GRAPH_IDS, SWEEP])
+    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS])
     assert all(sorted(golden[g]) == sorted(COMMANDS) for g in GRAPH_IDS)
 
 
@@ -93,7 +99,13 @@ def test_output_byte_identical(golden, graph_id, command):
 
 
 def test_random_sweep_digest(golden):
-    assert sweep_sha256() == golden[SWEEP]
+    sweep = "sweep check --json --budget 200"
+    assert sweep_sha256(sweep) == golden[sweep]
+
+
+def test_random_oracle_sweep_digest(golden):
+    sweep = "sweep oracle --json --seed 3"
+    assert sweep_sha256(sweep) == golden[sweep]
 
 
 if __name__ == "__main__":
@@ -104,6 +116,7 @@ if __name__ == "__main__":
             code, out, err = run_corpus(c, g)
             assert not err, f"{c} on {g} wrote to stderr: {err}"
             table[g][c] = {"exit": code, "report": json.loads(out)}
-    table[SWEEP] = sweep_sha256()
+    for sweep in SWEEPS:
+        table[sweep] = sweep_sha256(sweep)
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

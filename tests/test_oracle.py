@@ -385,6 +385,36 @@ class TestSampledVerdict:
         assert report == {"verdict": verdict, "trials": 100, "failures": failures}
 
 
+class TestExactRounds:
+    """The rounds the support decides are the reference's first rounds, and
+    a verdict they decide draws no realization."""
+
+    @staticmethod
+    def _graphs():
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            yield random_digraph(rng)
+        for n in (20, 30, 40, 50, 62):
+            for twins in (False, True):
+                yield chain_digraph(np.random.default_rng(n + 100 * twins), n, twins)
+        yield _crossed_chain(62)
+
+    def test_prefix_of_reference(self):
+        stops = Counter()
+        for i, g in enumerate(self._graphs()):
+            steps, zero = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
+            w = weighted_adjacency(g, sample_realization(g, 8000 + i))
+            reference = reference_zero_extension(w, g.leader_mask)
+            assert reference.steps[: len(steps)] == steps
+            if zero == g.full_mask:
+                assert reference.final == g.full_mask
+            # the lockstep route resumes where the exact rounds stop
+            [(trace, _, _)] = oracle._zero_extension(w[None], zero, steps)
+            assert trace == reference
+            stops["all" if zero == g.full_mask else "some" if steps else "none"] += 1
+        assert min(stops["all"], stops["some"], stops["none"]) >= 5
+
+
 def _trial_counts(g: ColoredDigraph) -> tuple[int, int, int]:
     """One trial, two, and one more than a lockstep batch."""
     return 1, 2, oracle.BATCH_BYTES // (8 * g.n * g.n) + 1
@@ -417,12 +447,19 @@ class TestAgainstPerTrialLoop:
         assert 20 <= corroborated <= 280
 
     @pytest.mark.parametrize("twins", [False, True], ids=["chain", "twins"])
-    def test_chain(self, twins):
+    def test_chain(self, twins, monkeypatch):
+        # the exact rounds decide a chain with no draw; a twins graph fails
+        # at its first realization
         g = chain_digraph(np.random.default_rng(62), 62, twins)
+        draws = []
+        draw = oracle.sample_realization
+        monkeypatch.setattr(oracle, "sample_realization", lambda g, s: draws.append(s) or draw(g, s))
         for trials in _trial_counts(g):
+            draws.clear()
             verdict = sampled_verdict(g, trials=trials)
             assert verdict == per_trial_verdict(g, g.leader_mask, trials)
             assert verdict.corroborated is not twins
+            assert draws == ([0] if twins else [])
 
     @pytest.mark.parametrize("g", [EDGELESS, LEADER_ONLY], ids=["edgeless", "leader-only"])
     def test_edge_graphs(self, g, monkeypatch):
@@ -431,19 +468,30 @@ class TestAgainstPerTrialLoop:
             assert sampled_verdict(g, trials=trials) == per_trial_verdict(g, g.leader_mask, trials)
 
 
+def _crossed_chain(n: int) -> ColoredDigraph:
+    """Leaders 0 and 1 both feed 2 and 3, with the two colors crossed, and
+    a path 2 -> 4 -> 5 -> ... -> n - 1.  Each leader's equation keeps two
+    white unknowns, so the support decides no round; the pair is singular
+    only where |c1| = |c2|, so sampled realizations are balancing."""
+    edges = ((0, 2, 0), (0, 3, 1), (1, 2, 1), (1, 3, 0), (2, 4, 0))
+    edges += tuple((v, v + 1, v % 2) for v in range(4, n - 1))
+    return ColoredDigraph(n=n, edges=edges, colors=("c1", "c2"), leaders=(0, 1))
+
+
 def test_batches_stay_within_the_byte_budget(monkeypatch):
     """Trial 0 runs alone, and no later batch stacks realizations or null
     bases past the budget.  After two real batches the spy answers
     balancing, so that 10,000 trials stay cheap."""
-    g = chain_digraph(np.random.default_rng(9), 62, False)
+    g = _crossed_chain(62)
+    assert oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask) == ((), g.leader_mask)
     sizes, basis_bytes = [], []
     lockstep, advance = oracle._zero_extension, oracle._advance
 
-    def spy(w, zero):
+    def spy(w, zero, steps):
         sizes.append(len(w))
         assert w.nbytes <= BATCH_BYTES
         if len(sizes) <= 2:
-            return lockstep(w, zero)
+            return lockstep(w, zero, steps)
         return [(ZeroExtensionTrace(zero, (), g.full_mask), None, None)] * len(w)
 
     def spy_advance(group, *args):
