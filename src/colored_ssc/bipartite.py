@@ -49,15 +49,13 @@ class ColoredBipartite:
     """Bipartite graph between an X side and a Y side with colored edges.
 
     ``edges`` holds ``(x_index, y_index, color)`` triples with local color
-    indices; ``color_map`` maps each local color back to the global color
-    index of the parent graph (identity for standalone graphs).
+    indices into ``colors``.
     """
 
     x_vertices: tuple[int, ...]
     y_vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
     colors: tuple[str, ...]
-    color_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(sorted(tuple(e) for e in self.edges)))

@@ -5,9 +5,9 @@ export-dot.  ``check`` runs one search, the edge-operation procedure whose
 root stage is the zero-forcing test, and exits 0 for CONTROLLABLE, 2 for
 UNDECIDED.  ``oracle`` prints the balancing test's verdict over sampled
 realizations.  Every command exits 1 for input and usage errors, out-of-range
-options included; 3 when the input needs more exhaustive search than a cap allows
-(force-source subsets past ``forcing.MAX_SOURCE_CAP``, or a slice
-side past ``bipartite.ENUMERATION_CAP``); a soundness violation (positive
+options included; 3 when the search meets a cap (one force-source enumeration
+lists more than ``2**forcing.MAX_SOURCE_CAP - 1`` subsets, or a slice side
+passes ``bipartite.ENUMERATION_CAP``); a soundness violation (positive
 certificate contradicted by the oracle) aborts with exit code 70.  Set
 COLORED_SSC_LOG=debug for trace-level logging.
 """

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import comb
 
-from .bipartite import slice_signature
+from .bipartite import EnumerationCapError, slice_signature
 from .graph import ColoredDigraph, iter_vset, slice_key, vset_labels, white_out_neighbors
 # Unused here; kept bound because perfbench/tracing.py wraps these names.
 from .bipartite import certifying_signature  # noqa: F401
@@ -21,12 +20,13 @@ from .graph import induced_bipartite  # noqa: F401
 
 
 class SearchBoundExceededError(RuntimeError):
-    """Subset enumeration would exceed the source budget."""
+    """Subset enumeration exceeded the source budget."""
 
 
-# One force-source enumeration looks at no more than 2**MAX_SOURCE_CAP - 1
+# One force-source enumeration lists no more than 2**MAX_SOURCE_CAP - 1
 # candidate subsets, as many as a black set of MAX_SOURCE_CAP vertices has;
-# beyond that the exhaustive search refuses and the greedy one truncates.
+# the walk counts the subsets it lists and raises past that, so the
+# exhaustive search refuses and the greedy one stops, flagged truncated.
 MAX_SOURCE_CAP = 12
 
 
@@ -85,52 +85,23 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
     return Force(source=source, target=target, class_signature=signature)
 
 
-def _source_domain(
-    g: ColoredDigraph, black: int, allow_truncation: bool
-) -> tuple[list[tuple[int, int]], int, bool]:
-    """Where force sources can come from at ``black``.
-
-    Returns the candidates as (vertex bit, white out-neighbors) pairs, the
-    largest source size to enumerate, and whether that size was cut down to
-    fit :data:`MAX_SOURCE_CAP`.  Only black vertices with a white
-    out-neighbor are candidates (any other one is a zero row of every slice
-    it joins), and a source has at most as many members as there are white
-    vertices.  The candidate subsets up to the size limit may number at most
-    ``2**MAX_SOURCE_CAP - 1``, the subsets of a black set at the cap.
-    """
-    if black & ~g.full_mask:
-        raise ValueError("black set contains vertices outside the graph")
-    white = g.full_mask & ~black
-    candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
-    candidates = [(bit, reach) for bit, reach in candidates if reach]
-    limit = min(len(candidates), white.bit_count())
-    budget = (1 << MAX_SOURCE_CAP) - 1
-    subsets = 0
-    for size in range(1, limit + 1):
-        subsets += comb(len(candidates), size)
-        if subsets > budget:
-            if not allow_truncation:
-                raise SearchBoundExceededError(
-                    f"sources of up to {limit} of {len(candidates)} candidate vertices "
-                    f"exceed the budget of 2**{MAX_SOURCE_CAP} - 1 subsets"
-                )
-            return candidates, size - 1, True
-    return candidates, limit, False
-
-
 def iter_forces(g: ColoredDigraph, black: int) -> Iterator[Force]:
     """The forces available at ``black``, smallest source first, each slice
     tested only when the next force is asked for.
 
     Sources are ordered by increasing size, lexicographically within a
     size, so the order is reproducible.  Only sources that can force are
-    enumerated: subsets of the black vertices with a white out-neighbor, no
-    larger than the white set.  When those subsets number more than
-    ``2**MAX_SOURCE_CAP - 1``, the call itself raises
-    :class:`SearchBoundExceededError`, before any slice is tested.
+    enumerated: subsets of the black vertices with a white out-neighbor (any
+    other one is a zero row of every slice it joins), no larger than the
+    white set.  Once the walk has listed more than ``2**MAX_SOURCE_CAP - 1``
+    of them, drawing the next force raises :class:`SearchBoundExceededError`.
     """
-    candidates, limit, _ = _source_domain(g, black, allow_truncation=False)
-    return _forces_from(g, candidates, limit)
+    if black & ~g.full_mask:
+        raise ValueError("black set contains vertices outside the graph")
+    white = g.full_mask & ~black
+    candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
+    candidates = [(bit, reach) for bit, reach in candidates if reach]
+    return _forces_from(g, candidates, min(len(candidates), white.bit_count()))
 
 
 def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
@@ -150,8 +121,11 @@ def _forces_from(
     target), grown from the previous level by a later candidate, so a level
     is in lexicographic order.  Adding members only grows the white target,
     so a subset is dropped once its target is wider than any source it can
-    still reach.  A slice is tested when its force is asked for.
+    still reach.  A slice is tested when its force is asked for.  The
+    subsets listed are counted as each parent node grows, and one more than
+    ``2**MAX_SOURCE_CAP - 1`` raises :class:`SearchBoundExceededError`.
     """
+    budget = (1 << MAX_SOURCE_CAP) - 1
     last = len(candidates) - 1
     level = [(-1, 0, 0)]
     for size in range(1, limit + 1):
@@ -162,6 +136,12 @@ def _forces_from(
                 y = target | reach
                 if y.bit_count() <= min(limit, size + last - i):
                     grown.append((i, source | bit, y))
+            if len(grown) > budget:
+                raise SearchBoundExceededError(
+                    f"sources of {len(candidates)} candidate vertices pass the "
+                    f"budget of 2**{MAX_SOURCE_CAP} - 1 subsets at size {size}"
+                )
+        budget -= len(grown)
         level = grown
         for _, source, target in level:
             if target.bit_count() == size:
@@ -175,17 +155,19 @@ def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:
 
     Forces come smallest source first (see :func:`iter_forces`), so each
     step takes a smallest source, lexicographically first within its size.
-    A step whose candidate subsets pass the source budget only looks at
-    sources of the largest size that fits, and the returned trace is
-    flagged as truncated.
+    A step that passes the source budget or meets a slice wider than
+    ``bipartite.ENUMERATION_CAP`` before it finds a force ends the
+    derivation, and the returned trace is flagged as truncated.
     """
     initial = black
     steps: list[Force] = []
     truncated = False
     while True:
-        candidates, limit, cut = _source_domain(g, black, allow_truncation=True)
-        truncated |= cut
-        force = next(_forces_from(g, candidates, limit), None)
+        try:
+            force = next(iter_forces(g, black), None)
+        except (SearchBoundExceededError, EnumerationCapError):
+            truncated = True
+            break
         if force is None:
             break
         steps.append(force)

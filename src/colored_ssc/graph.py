@@ -46,6 +46,10 @@ class ColorOutOfRangeError(GraphFormatError):
     pass
 
 
+class DuplicateColorError(GraphFormatError):
+    """A color name declared twice."""
+
+
 class EmptyColorError(GraphFormatError):
     """A declared color with no edge using it."""
 
@@ -129,6 +133,9 @@ class ColoredDigraph:
                     f"palette has {len(self.colors)}"
                 )
             used_colors.add(color)
+        if len(set(self.colors)) != len(self.colors):
+            repeated = sorted({name for name in self.colors if self.colors.count(name) > 1})
+            raise DuplicateColorError(f"color names declared more than once: {repeated}")
         for c, name in enumerate(self.colors):
             if c not in used_colors:
                 raise EmptyColorError(f"color {name!r} is not used by any edge")
@@ -185,8 +192,7 @@ def induced_bipartite(g: ColoredDigraph, source: int, black: int) -> ColoredBipa
     """Colored bipartite slice between ``source`` and its white out-neighbors.
 
     The X side is ``source``, the Y side is ``white_out_neighbors(g, source,
-    black)``; colors are renumbered to the cells actually present, with
-    ``color_map`` pointing back at the graph's global color indices.
+    black)``; colors are renumbered to the cells actually present.
     """
     x_vertices = vset_members(source)
     y_vertices = vset_members(white_out_neighbors(g, source, black))
@@ -204,7 +210,6 @@ def induced_bipartite(g: ColoredDigraph, source: int, black: int) -> ColoredBipa
         y_vertices=tuple(y_vertices),
         edges=tuple(sorted((xi, yi, local[c]) for xi, yi, c in raw)),
         colors=tuple(g.colors[c] for c in present),
-        color_map=tuple(present),
     )
 
 

@@ -10,6 +10,7 @@ each round or run one realization at a time, the per-trial sampled verdict)."""
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -117,6 +118,24 @@ def random_digraph(
         return _trimmed(n, edges, leaders)
 
 
+def scale_graph(n: int, i: int) -> ColoredDigraph:
+    """Graph ``i`` of the n = 30-62 scale family, drawn as the benchmark's
+    ``random_colored`` draws it: from ``random.Random(f"scale:{n}:{i}")``,
+    edge probability 4.5 / n, up to 1 + i % 3 colors and a random half of
+    the vertices as leaders."""
+    rng = random.Random(f"scale:{n}:{i}")
+    k = 1 + i % 3
+    while True:
+        edges = [
+            (t, h, rng.randrange(k))
+            for t in range(n)
+            for h in range(n)
+            if t != h and rng.random() < 4.5 / n
+        ]
+        if edges:
+            return _trimmed(n, edges, tuple(sorted(rng.sample(range(n), n // 2))))
+
+
 def chain_digraph(rng: np.random.Generator, n: int, twins: bool) -> ColoredDigraph:
     """Path 0 -> 1 -> ... with random back edges and 1-3 colors; leader {0}.
 
@@ -164,31 +183,26 @@ def all_subsets_forces(
     return forces
 
 
-def eager_forces(g: ColoredDigraph, black: int, allow_truncation: bool = False) -> list[Force]:
+def eager_forces(g: ColoredDigraph, black: int) -> list[Force]:
     """Reference force list in the eager form: the same candidates, budget
     (``forcing.MAX_SOURCE_CAP``, read at call time) and pruned depth-first
     walk as ``iter_forces``, but every slice whose target is as wide as its
     source is tested as the walk meets it, and the forces are then sorted
-    by source size.  With ``allow_truncation`` a source budget that would
-    be passed keeps the largest source size that fits, as the greedy
-    derivation does.  Slices are tested through ``forcing.slice_signature``,
+    by source size.  The walk counts the subsets it lists and raises
+    :class:`SearchBoundExceededError` once they pass the budget, before it
+    returns any force.  Slices are tested through ``forcing.slice_signature``,
     so a spy on that name counts them."""
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
     limit = min(len(candidates), white.bit_count())
-    subsets = 0
-    for size in range(1, limit + 1):
-        subsets += math.comb(len(candidates), size)
-        if subsets > (1 << forcing.MAX_SOURCE_CAP) - 1:
-            if not allow_truncation:
-                raise SearchBoundExceededError("past the source budget")
-            limit = size - 1
-            break
     last = len(candidates) - 1
+    budget = (1 << forcing.MAX_SOURCE_CAP) - 1
+    listed = 0
     forces: list[Force] = []
 
     def extend(start: int, source: int, target: int, size: int) -> None:
+        nonlocal listed
         size += 1
         for i in range(start, last + 1):
             bit, reach = candidates[i]
@@ -196,6 +210,9 @@ def eager_forces(g: ColoredDigraph, black: int, allow_truncation: bool = False) 
             width = y.bit_count()
             if width > min(limit, size + last - i):
                 continue
+            listed += 1
+            if listed > budget:
+                raise SearchBoundExceededError("past the source budget")
             if width == size:
                 signature = forcing.slice_signature(slice_key(g, x, y))
                 if signature is not None:
@@ -221,7 +238,6 @@ def standalone_bipartite(
         y_vertices=tuple(range(t, 2 * t)),
         edges=tuple(edges),
         colors=names,
-        color_map=tuple(range(n_colors)),
     )
 
 

@@ -64,7 +64,6 @@ class TestEnumerate:
             y_vertices=b.y_vertices + (99,),
             edges=b.edges,
             colors=b.colors,
-            color_map=b.color_map,
         )
         with pytest.raises(SizeMismatchError):
             enumerate_matchings(lopsided)

@@ -15,7 +15,7 @@ from colored_ssc.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SEARCH_CAP, EXIT_UND
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig, path as fig_path
 from colored_ssc.graph import serialize, validate
 
-from conftest import MALFORMED_FIELDS
+from conftest import MALFORMED_FIELDS, scale_graph
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -44,6 +44,19 @@ class TestValidate:
             assert err.startswith("error:") and err.count("\n") == 1
             (name,) = fields
             assert f"field '{name}'" in err
+
+    @pytest.mark.parametrize("command", [("validate",), ("oracle", "--json")])
+    def test_duplicate_color_name(self, capsys, tmp_path, command):
+        # realizations key colors by name, so oracle would draw one value for both
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(
+            {"n": 4, "colors": ["a", "a"], "edges": [[1, 2, 1], [2, 3, 1], [2, 4, 2]], "leaders": [1]}
+        ))
+        name, *flags = command
+        code, out, err = run_cli(capsys, name, str(bad), *flags)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "'a'" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/nonexistent.json")
@@ -237,8 +250,9 @@ class TestSearchCap:
 
     @pytest.fixture
     def wide(self, tmp_path):
-        # 15 leaders, each pointing at all 15 followers: 2**15 - 1 candidate
-        # force sources, past the default budget of 2**12 - 1
+        # 15 leaders, each pointing at all 15 followers: the search lists
+        # the 15 singletons and the full set, whose 15 x 15 slice is past
+        # the determinant cap of 12
         doc = {
             "n": 30,
             "colors": ["c1"],
@@ -260,6 +274,20 @@ class TestSearchCap:
         code, out, _ = run_cli(capsys, "forcing", wide, "--greedy", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["truncated"] is True
+
+    @pytest.mark.parametrize(
+        ("i", "cause"),
+        [(16, "budget of 2**12 - 1 subsets"), (14, "symbolic determinant capped at 12")],
+    )
+    def test_scale_graph_past_a_cap(self, capsys, tmp_path, i, cause):
+        # 30-vertex graphs of the scale family: one search lists more source
+        # subsets than the budget allows, the other meets a 13 x 13 slice
+        target = tmp_path / f"scale30_{i}.json"
+        target.write_text(json.dumps(serialize(scale_graph(30, i))))
+        code, out, err = run_cli(capsys, "check", str(target))
+        assert code == EXIT_SEARCH_CAP
+        assert out == ""
+        assert err.startswith("error: ") and cause in err and err.count("\n") == 1
 
 
 class TestBipartite:

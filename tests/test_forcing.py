@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
@@ -12,7 +11,12 @@ from hypothesis import strategies as st
 
 from colored_ssc import forcing
 from colored_ssc.analysis import analyze
-from colored_ssc.bipartite import enumerate_matchings, equivalence_classes, slice_signature
+from colored_ssc.bipartite import (
+    EnumerationCapError,
+    enumerate_matchings,
+    equivalence_classes,
+    slice_signature,
+)
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.forcing import (
     SearchBoundExceededError,
@@ -39,6 +43,7 @@ from conftest import (
     labels,
     members1,
     random_digraph,
+    scale_graph,
     weighted_adjacency,
 )
 
@@ -54,22 +59,16 @@ def _private_targets(k: int, n: int = 62) -> ColoredDigraph:
     return ColoredDigraph(n=n, edges=tuple((v, k + v, 0) for v in range(k)), colors=("c1",))
 
 
-def _truncated_forces(g: ColoredDigraph, black: int) -> list[forcing.Force]:
-    """The forces a greedy step chooses from: past the source budget, only
-    the source sizes whose subsets fit."""
-    candidates, limit, _ = forcing._source_domain(g, black, allow_truncation=True)
-    return list(forcing._forces_from(g, candidates, limit))
-
-
-def _fitting_size(g: ColoredDigraph, black: int, cap: int) -> int:
-    """Largest source size whose candidate subsets number at most 2**cap - 1."""
-    white = g.full_mask & ~black
-    c = sum(1 for v in range(g.n) if black >> v & 1 and g.out_masks[v] & white)
-    limit = min(c, white.bit_count())
-    size = 0
-    while size < limit and sum(comb(c, k) for k in range(1, size + 2)) < 1 << cap:
-        size += 1
-    return size
+def _drawn(g: ColoredDigraph, black: int) -> tuple[list[forcing.Force], bool]:
+    """The forces ``iter_forces`` yields before it stops, and whether it
+    stopped by refusing at the source budget."""
+    forces: list[forcing.Force] = []
+    try:
+        for force in iter_forces(g, black):
+            forces.append(force)
+    except SearchBoundExceededError:
+        return forces, True
+    return forces, False
 
 
 class TestIsColorPerfect:
@@ -117,11 +116,22 @@ class TestFindForces:
         assert sizes == sorted(sizes)
 
     def test_bound_exceeded(self):
-        # 15 black vertices, each pointing at all 15 white ones: 2**15 - 1
-        # candidate subsets against a budget of 2**12 - 1
+        # 13 black vertices with private targets: sizes 1-6 list 4095
+        # subsets, all forces, and size 7 passes the budget of 2**12 - 1
+        g, black = _private_targets(13), (1 << 13) - 1
+        with pytest.raises(SearchBoundExceededError):
+            find_forces(g, black)
+        forces, refused = _drawn(g, black)
+        assert refused and len(forces) == 4095
+        assert forces[-1].source.bit_count() == 6
+
+    def test_wide_slice_meets_enumeration_cap(self):
+        # 15 black vertices, each pointing at all 15 white ones: only the
+        # 15 singletons and the full set are listed, and the full set's
+        # slice is past the determinant cap
         edges = tuple((t, h, 0) for t in range(15) for h in range(15, 30))
         g = ColoredDigraph(n=30, edges=edges, colors=("c1",))
-        with pytest.raises(SearchBoundExceededError):
+        with pytest.raises(EnumerationCapError):
             find_forces(g, labels(*range(1, 16)))
 
     def test_path_has_one_candidate(self):
@@ -132,16 +142,12 @@ class TestFindForces:
 
     @pytest.mark.parametrize("k", [12, 13, 31])
     def test_cap_bounds_subsets_looked_at(self, k):
+        # every listed subset is a force, so the forces drawn before the
+        # refusal count the subsets looked at
         g, black = _private_targets(k), (1 << k) - 1
-        if k <= 12:
-            assert len(find_forces(g, black)) == 2**k - 1  # a set at the cap is never refused
-        else:
-            with pytest.raises(SearchBoundExceededError):
-                find_forces(g, black)
-        forces = _truncated_forces(g, black)
-        assert len(forces) <= 2**12 - 1
-        size = forces[-1].source.bit_count()
-        assert len(forces) == sum(comb(k, s) for s in range(1, size + 1))
+        forces, refused = _drawn(g, black)
+        assert refused == (k > 12)  # a set at the cap is never refused
+        assert len(forces) == {12: 4095, 13: 4095, 31: 496}[k]
 
     def test_black_sets_within_cap_never_refused(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -167,11 +173,12 @@ class TestFindForces:
                 ]
                 want = all_subsets_forces(g, black, max_size)
             else:
-                cap = int(rng.integers(2, 7))
                 with monkeypatch.context() as m:
-                    m.setattr(forcing, "MAX_SOURCE_CAP", cap)
-                    got = _truncated_forces(g, black)
-                want = all_subsets_forces(g, black, _fitting_size(g, black, cap))
+                    m.setattr(forcing, "MAX_SOURCE_CAP", int(rng.integers(2, 7)))
+                    got, refused = _drawn(g, black)
+                want = all_subsets_forces(g, black)
+                if refused:
+                    want = want[: len(got)]
             assert got == want
 
     def test_small_cap_config(self, monkeypatch):
@@ -179,8 +186,9 @@ class TestFindForces:
         monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", 3)
         with pytest.raises(SearchBoundExceededError):
             find_forces(g, labels(1, 2, 3, 4, 5))
-        truncated = _truncated_forces(g, labels(1, 2, 3, 4, 5))
-        assert [members1(f.source) for f in truncated] == [(5,)]
+        forces, refused = _drawn(g, labels(1, 2, 3, 4, 5))
+        assert refused and [members1(f.source) for f in forces] == [(5,)]
+        assert forces == all_subsets_forces(g, labels(1, 2, 3, 4, 5))[:1]
 
 
 def _eager_iter(g, black):
@@ -203,36 +211,44 @@ def _count_slice_tests(monkeypatch) -> list[int]:
 
 class TestIterForces:
     def test_matches_eager_reference(self, monkeypatch):
+        # under a small budget the two refuse on the same black sets, and
+        # the lazy forces drawn before a refusal are a prefix of the list
         rng = np.random.default_rng(34)
-        raised = truncated = 0
+        raised = partial = 0
         for _ in range(400):
             g = random_digraph(rng, n_max=12, with_leaders=False)
             black = int(rng.integers(1, g.full_mask + 1))
-            assert list(iter_forces(g, black)) == eager_forces(g, black)
+            full = eager_forces(g, black)
+            assert list(iter_forces(g, black)) == full
             with monkeypatch.context() as m:
                 m.setattr(forcing, "MAX_SOURCE_CAP", int(rng.integers(1, 5)))
                 try:
                     want = eager_forces(g, black)
                 except SearchBoundExceededError:
-                    raised += 1
-                    with pytest.raises(SearchBoundExceededError):
-                        iter_forces(g, black)
-                else:
-                    assert list(iter_forces(g, black)) == want
-                got = _truncated_forces(g, black)
-                assert got == eager_forces(g, black, allow_truncation=True)
-            truncated += got != eager_forces(g, black)
-        assert raised > 50 and truncated > 20
+                    want = None
+                got, refused = _drawn(g, black)
+            assert refused == (want is None)
+            if refused:
+                raised += 1
+                partial += bool(got)
+                assert got == full[: len(got)]
+            else:
+                assert got == want == full
+        assert raised > 50 and partial > 20
 
-    def test_bound_decided_before_any_slice_test(self, monkeypatch):
+    def test_slices_tested_only_for_listed_subsets(self, monkeypatch):
+        # sizes 1-6 of 13 private-target vertices are listed and tested
+        # (4095 slices); listing size 7 passes the budget, and the refusal
+        # comes before any of its slices is tested
         calls = _count_slice_tests(monkeypatch)
         g, black = _private_targets(13), (1 << 13) - 1
-        with pytest.raises(SearchBoundExceededError):
-            iter_forces(g, black)  # the call raises; nothing is iterated
-        candidates, limit, cut = forcing._source_domain(g, black, allow_truncation=True)
-        forces = forcing._forces_from(g, candidates, limit)
-        assert cut and calls[0] == 0
+        forces = iter_forces(g, black)
+        assert calls[0] == 0
         assert next(forces).source == 1 and calls[0] == 1
+        with pytest.raises(SearchBoundExceededError):
+            for force in forces:
+                assert force.source.bit_count() <= 6
+        assert calls[0] == 4095
 
     def test_search_tests_fewer_slices(self, monkeypatch):
         g = load_fig("fig7d")  # a zero forcing set with several forces per step
@@ -246,8 +262,11 @@ class TestIterForces:
         assert lazy_calls < calls[0]
 
     def test_bound_errors_at_same_black_sets(self, monkeypatch):
-        # analyze meets the same black sets, and refuses at the same one,
-        # whether forces come lazily or from the eager reference
+        # the eager reference refuses at a black set before drawing any of
+        # its forces, the lazy search only after drawing those listed within
+        # the budget: the black sets analyze meets with eager forces are a
+        # prefix of those it meets with lazy ones, and the same wherever
+        # eager completes; lazy refuses only where eager refused
         rng = np.random.default_rng(35)
         cases = [(random_digraph(rng, n_max=10), int(rng.integers(1, 5))) for _ in range(120)]
 
@@ -267,8 +286,27 @@ class TestIterForces:
             return seen, False
 
         lazy = [run(iter_forces, g, cap) for g, cap in cases]
-        assert lazy == [run(_eager_iter, g, cap) for g, cap in cases]
-        assert sum(raised for _, raised in lazy) > 10
+        eager = [run(_eager_iter, g, cap) for g, cap in cases]
+        for (lazy_seen, lazy_raised), (eager_seen, eager_raised) in zip(lazy, eager):
+            assert lazy_seen[: len(eager_seen)] == eager_seen
+            if not eager_raised:
+                assert (lazy_seen, lazy_raised) == (eager_seen, False)
+        assert sum(raised for _, raised in eager) > 10
+        assert sum(a != b for a, b in zip(lazy, eager)) > 0
+
+
+class TestScaleFamily:
+    """30-vertex graphs whose leader searches list few of the candidate
+    subsets a count of all subsets up to the size limit would charge; a
+    budget on that count refused them (exit 3)."""
+
+    @pytest.mark.parametrize("i", [2, 3, 5, 8])
+    def test_certified(self, i):
+        g = scale_graph(30, i)
+        report = analyze(g, use_oracle=True, trials=50)
+        assert report.verdict == "CONTROLLABLE"
+        assert report.trace.replay_ok()
+        assert report.oracle.corroborated and report.oracle.trials == 50
 
 
 class TestGreedyDerivation:

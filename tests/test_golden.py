@@ -1,10 +1,10 @@
 """Golden certificates: ``check --json``, ``forcing --json`` (exhaustive and
 greedy), ``eeo-derive --json``, ``oracle --json --seed 3`` and ``validate``
 on every corpus graph must print exactly what ``golden_corpus.json`` holds,
-and ``check --json --budget 200`` and ``oracle --json --seed 3`` over a
-fixed-seed random sweep must print output with the stored sha256s.  The
-oracle sweep pins the color values of the counterexamples it prints, which
-no corpus graph has.
+and ``check --json --budget 200``, ``oracle --json --seed 3`` and
+``forcing --json`` (exhaustive and greedy) over a fixed-seed random sweep
+must print output with the stored sha256s.  The oracle sweep pins the color
+values of the counterexamples it prints, which no corpus graph has.
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -42,6 +42,8 @@ COMMANDS = {
 SWEEPS = {
     "sweep check --json --budget 200": ("check", "--json", "--budget", "200"),
     "sweep oracle --json --seed 3": ("oracle", "--json", "--seed", "3"),
+    "sweep forcing --json": ("forcing", "--json"),
+    "sweep forcing --greedy --json": ("forcing", "--greedy", "--json"),
 }
 SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
 
@@ -105,6 +107,11 @@ def test_random_sweep_digest(golden):
 
 def test_random_oracle_sweep_digest(golden):
     sweep = "sweep oracle --json --seed 3"
+    assert sweep_sha256(sweep) == golden[sweep]
+
+
+@pytest.mark.parametrize("sweep", ["sweep forcing --json", "sweep forcing --greedy --json"])
+def test_random_forcing_sweep_digest(golden, sweep):
     assert sweep_sha256(sweep) == golden[sweep]
 
 

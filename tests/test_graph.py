@@ -14,6 +14,7 @@ from colored_ssc.graph import (
     BadLeaderError,
     ColoredDigraph,
     ColorOutOfRangeError,
+    DuplicateColorError,
     DuplicateEdgeError,
     EmptyColorError,
     GraphFormatError,
@@ -49,6 +50,16 @@ class TestValidate:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdgeError):
             validate({"n": 2, "colors": ["c1"], "edges": [[1, 2, 1], [1, 2, 1]]})
+
+    def test_duplicate_color_rejected(self):
+        # realizations and the stage memo key colors by name, so two colors
+        # of one name would be given one value; refused before the
+        # unused-color check, which a repeated unused name would meet
+        doc = {"n": 4, "colors": ["a", "a"], "edges": [[1, 2, 1], [2, 3, 1], [2, 4, 2]]}
+        with pytest.raises(DuplicateColorError, match="'a'"):
+            validate(doc)
+        with pytest.raises(DuplicateColorError):
+            validate({**doc, "colors": ["a", "b", "a"]})
 
     def test_color_out_of_range(self):
         with pytest.raises(ColorOutOfRangeError):
@@ -154,11 +165,6 @@ class TestInducedBipartite:
         b = induced_bipartite(g, labels(1, 2, 3, 4), labels(1, 2, 3, 4, 5))
         assert b.y_vertices == tuple(v - 1 for v in (6, 7, 8, 9))
         assert len(b.edges) == 11
-
-    def test_color_map_points_at_globals(self):
-        g = load_fig("fig8")
-        b = induced_bipartite(g, labels(3, 4), labels(1, 2, 3, 4, 5))
-        assert tuple(g.colors[c] for c in b.color_map) == b.colors
 
     def test_y_side_never_black(self):
         g = load_fig("fig7a")
