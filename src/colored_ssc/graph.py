@@ -248,15 +248,20 @@ def validate(description: Mapping | str) -> ColoredDigraph:
          "leaders": [1, 2]}                      # optional
     """
     if isinstance(description, str):
-        description = json.loads(description)
+        try:
+            description = json.loads(description)
+        except RecursionError:
+            raise GraphFormatError("JSON nested too deeply to parse") from None
     if not isinstance(description, Mapping):
         raise GraphFormatError("graph description is not a JSON object")
     n = _field(description, "n", _integer)
-    colors = _field(description, "colors", lambda raw: tuple(str(c) for c in raw))
-    edges = _field(description, "edges", lambda raw: tuple(_edge(entry) for entry in raw))
+    colors = _field(description, "colors", lambda raw: tuple(map(_name, _array(raw))))
+    edges = _field(description, "edges", lambda raw: tuple(_edge(entry) for entry in _array(raw)))
     leaders = None
     if description.get("leaders") is not None:
-        leaders = _field(description, "leaders", lambda raw: tuple(_integer(v) - 1 for v in raw))
+        leaders = _field(
+            description, "leaders", lambda raw: tuple(_integer(v) - 1 for v in _array(raw))
+        )
     return ColoredDigraph(n=n, edges=edges, colors=colors, leaders=leaders)
 
 
@@ -274,10 +279,25 @@ def _edge(entry) -> tuple[int, int, int]:
     if len(entry) != 3:
         raise GraphFormatError(f"edge entry {entry!r} is not [tail, head, color]")
     tail, head, color = entry
-    # Plain ints, the common case, need no check; bools, floats and strings do.
+    # Plain ints, the common case, need no check; bools, floats, strings
+    # and entries that are not arrays do.
     if not type(tail) is type(head) is type(color) is int:
-        tail, head, color = map(_integer, entry)
+        tail, head, color = map(_integer, _array(entry))
     return tail - 1, head - 1, color - 1
+
+
+def _array(raw) -> list | tuple:
+    """``raw``, refusing anything but an array: a string or an object
+    would otherwise be iterated as one."""
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(raw).__name__}")
+    return raw
+
+
+def _name(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError(f"color names are strings, got {type(raw).__name__}")
+    return raw
 
 
 def _integer(value) -> int:
@@ -370,7 +390,7 @@ def _int_rows(rows, kinds: set, newline: str) -> str:
 
 def load_graph(path) -> ColoredDigraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return validate(json.load(fh))
+        return validate(fh.read())
 
 
 def to_dot(g: ColoredDigraph) -> str:

@@ -10,8 +10,7 @@ free diagonal without drawing one.  Zero extension keeps one orthonormal
 null basis of the admitted balance equations for the whole fixpoint: each
 equation that turns out independent removes one direction by a
 Householder reflection, and each forced vertex removes its coordinate.
-When a set is not balancing, :func:`uncontrollable_witness` turns that
-basis into a diagonal that makes the pair uncontrollable.
+A set is not balancing when the fixpoint stops short of every vertex.
 
 The sampled verdict first takes the rounds that the graph's support
 decides: a balance equation with one white coefficient forces that
@@ -21,10 +20,12 @@ vertex the verdict is CORROBORATED without a single draw.  Otherwise the
 trials of the graph resume, in lockstep, from the first round the support
 does not decide: one stack of realizations, one stacked null basis, one
 numpy call per reflection and per forced-vertex test for the whole stack.
-A round admits only equations that still have a white coefficient.
-Trial 0 runs alone first, since a graph that is not balancing fails at a
-generic realization; the rest run in batches whose stacked arrays stay
-within ``BATCH_BYTES``.
+A round admits only equations that still have a white coefficient.  A
+batch whose realizations disagree on a rank decision, which generic draws
+almost never do, runs each of them again on its own.  Trial 0 runs alone
+first, since a graph that is not balancing fails at a generic
+realization; the rest run in batches whose stacked arrays stay within
+``BATCH_BYTES``.
 
 numpy is loaded on first use, not on import: the commands that never reach
 this module's routines (every one but ``oracle`` and ``check --oracle``)
@@ -38,7 +39,6 @@ import logging
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 from .graph import ColoredDigraph, iter_vset, vset
 
@@ -167,20 +167,10 @@ def _exact_rounds(
     return tuple(steps), zero
 
 
-def _edge_arrays(g: ColoredDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The graph's edges as index arrays: tails, heads and color indices."""
+def _stacked_adjacency(g: ColoredDigraph, realizations: list[Realization]) -> np.ndarray:
+    """W of each realization, stacked B x n x n, filled by one assignment."""
     flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=3 * len(g.edges))
     tails, heads, colors = flat.reshape(-1, 3).T
-    return tails, heads, colors
-
-
-def _stacked_adjacency(
-    g: ColoredDigraph,
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-    realizations: list[Realization],
-) -> np.ndarray:
-    """W of each realization, stacked B x n x n, filled by one assignment."""
-    tails, heads, colors = edges
     values = np.array(
         [[r.color_values[name] for name in g.colors] for r in realizations], dtype=float
     )
@@ -189,43 +179,13 @@ def _stacked_adjacency(
     return w
 
 
-class _Group(NamedTuple):
-    """Realizations that agree on every rank decision so far, with the
-    state they share: the zero set, its trace, the white vertices, and the
-    equations still to admit this round."""
-
-    trials: np.ndarray  # positions in the stack
-    wt: np.ndarray  # each W transposed: row j holds the equation of vertex j
-    limits: np.ndarray  # n x B x 1 x 1: squared dependence cutoff of each equation
-    basis: np.ndarray  # B x white x rows
-    white: np.ndarray
-    zero: int
-    admit: list[int]
-    steps: list[tuple[int, int]]
-
-    def _split(self, members, basis, white, zero, admit, steps) -> _Group:
-        """The members the mask selects, in a group of their own that
-        resumes from the given state."""
-        return _Group(
-            self.trials[members],
-            self.wt[members],
-            self.limits[:, members],
-            basis[members],
-            white,
-            zero,
-            admit,
-            list(steps),
-        )
-
-
 def _zero_extension(
     w: np.ndarray, zero: int, steps: tuple[tuple[int, int], ...] = ()
-) -> list[tuple[ZeroExtensionTrace, np.ndarray, np.ndarray]]:
+) -> list[ZeroExtensionTrace] | None:
     """Zero extension from ``zero`` on each realization of the stack ``w``
-    (B x n x n), run in lockstep.  One result per realization: its trace,
-    the null basis it ends on and the white vertices that index the
-    basis's columns.  ``steps`` are the rounds that led to ``zero``, the
-    prefix of each trace.
+    (B x n x n), run in lockstep: one trace per realization, or None at the
+    first rank decision the realizations disagree on.  ``steps`` are the
+    rounds that led to ``zero``, the prefix of each trace.
 
     A basis has one column per white vertex, and its orthonormal rows span
     the solutions x of the balance equations ``x @ w[white, j] = 0`` of
@@ -237,13 +197,13 @@ def _zero_extension(
     transposed, so that a forced vertex drops a row and the forced-vertex
     test sums along contiguous rows.
 
-    Realizations that agree on every rank decision so far form a group:
-    they share the white set and the row count, so the group keeps one
-    stacked basis, and each reflection and each forced-vertex test is one
-    numpy call for all of them.  Where they disagree (on whether an
-    equation is independent, or on which vertices a round forces) the
-    group splits, and each part takes that decision again on its own, so
-    every trace is the one the realization gives alone.
+    While the realizations agree on every rank decision (whether an
+    equation is independent, and which vertices a round forces) they
+    share the white set and the row count, so the stack keeps one stacked
+    basis, and each reflection and each forced-vertex test is one numpy
+    call for all of them.  A stack of one never disagrees, so running each
+    realization of a stack that does on its own gives the trace it gives
+    alone.
 
     An equation with no white coefficient is zero in basis coordinates,
     dependent in every member, so a round admits only the others.
@@ -260,54 +220,31 @@ def _zero_extension(
     out_masks = [int.from_bytes(row.tobytes(), "little") for row in support]
     admit = [j for j in iter_vset(zero) if out_masks[j] & ~zero]
     initial = steps[0][0] if steps else zero
-    results: list = [None] * len(w)
-    groups = [_Group(np.arange(len(w)), wt, limits, basis, white, zero, admit, list(steps))]
-    while groups:
-        _advance(groups.pop(), initial, out_masks, groups, results)
-    return results
-
-
-def _advance(
-    group: _Group, initial: int, out_masks: list[int], groups: list[_Group], results: list
-) -> None:
-    """Run a group to its fixpoint and store its results, or up to a
-    decision its members disagree on, and push its parts onto ``groups``."""
-    trials, wt, limits, basis, white, zero, admit, steps = group
-    members = len(trials)
+    steps = list(steps)
     while len(white):
-        for p, j in enumerate(admit):
+        for j in admit:
             m = wt[:, j : j + 1, white] @ basis  # the equation in basis coordinates
             square = m @ m.mT
-            independent = square > limits[j]
-            count = np.count_nonzero(independent)
-            if count == members:
-                # Householder reflection with normal v = m + a e0, where
-                # |a| = |m| takes the sign of m0; then v @ v = 2 a v0.
-                head = m[:, :, :1]
-                a = np.copysign(np.sqrt(square), head)
-                head += a
-                u = basis @ m.mT
-                u /= a * head
-                basis[:, :, 1:] -= u * m[:, :, 1:]
-                basis = basis[:, :, 1:]
-            elif count:
-                independent = independent.reshape(-1)
-                groups += [
-                    group._split(part, basis, white, zero, admit[p:], steps)
-                    for part in (independent, ~independent)
-                ]
-                return
+            count = np.count_nonzero(square > limits[j])  # members it is independent in
+            if not count:
+                continue
+            if count < len(w):
+                return None
+            # Householder reflection with normal v = m + a e0, where
+            # |a| = |m| takes the sign of m0; then v @ v = 2 a v0.
+            head = m[:, :, :1]
+            a = np.copysign(np.sqrt(square), head)
+            head += a
+            u = basis @ m.mT
+            u /= a * head
+            basis[:, :, 1:] -= u * m[:, :, 1:]
+            basis = basis[:, :, 1:]
         # The basis norm is sqrt(rows), its rows being orthonormal; with no
         # row left, every white vertex is forced.
         forced = np.vecdot(basis, basis) <= _SQUARED_TOL * basis.shape[2]
         pattern = forced[0]
-        if members > 1 and (forced != pattern).any():
-            codes = np.unique(forced, axis=0, return_inverse=True)[1].reshape(-1)
-            groups += [
-                group._split(codes == code, basis, white, zero, [], steps)
-                for code in range(codes.max() + 1)
-            ]
-            return
+        if (forced != pattern).any():
+            return None
         forced_list = white[pattern].tolist()
         if not forced_list:
             break
@@ -318,9 +255,7 @@ def _advance(
         keep = ~pattern
         white = white[keep]
         basis = basis[:, keep]
-    trace = ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
-    for i, trial in enumerate(trials.tolist()):
-        results[trial] = (trace, basis[i].T, white)
+    return [ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)] * len(w)
 
 
 def zero_extension_derived_set(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
@@ -331,51 +266,13 @@ def zero_extension_derived_set(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
     zero set.  The fixpoint does not depend on the order in which forced
     vertices are admitted.
     """
-    return _zero_extension(w[None], zero)[0][0]
+    return _zero_extension(w[None], zero)[0]
 
 
 def is_balancing_set(w: np.ndarray, zero: int) -> bool:
     """Whether zero extension from ``zero`` reaches every vertex."""
     n = w.shape[0]
     return zero_extension_derived_set(w, zero).final == (1 << n) - 1
-
-
-def uncontrollable_witness(
-    w: np.ndarray, leader_mask: int, rng: np.random.Generator | None = None
-) -> np.ndarray | None:
-    """A diagonal making (W + diag, B) uncontrollable, or None if balancing.
-
-    When zero extension sticks at D != V, a generic null vector of the
-    stuck balance system is nonzero on every white vertex; solving each
-    white vertex's own balance for the diagonal entry turns that vector
-    into a left eigenvector orthogonal to the input directions.
-    """
-    rng = rng or np.random.default_rng(0)
-    n = w.shape[0]
-    [(trace, basis, white_members)] = _zero_extension(w[None], leader_mask)
-    if trace.final == (1 << n) - 1:
-        return None
-    # A generic null vector is nonzero on every white vertex; prefer the
-    # draw with the best min/max coordinate ratio so the solved-for
-    # diagonal entries stay moderate.
-    x_white = None
-    best_ratio = 0.0
-    for _ in range(64):
-        candidate = rng.standard_normal(len(basis)) @ basis
-        top = float(np.max(np.abs(candidate), initial=0.0))
-        if top == 0.0:
-            continue
-        ratio = float(np.min(np.abs(candidate))) / top
-        if ratio > best_ratio:
-            best_ratio, x_white = ratio, candidate / top
-    if x_white is None or best_ratio < 1e-12:
-        return None  # pathological draws; the stuck set itself already proves non-balancing
-    x = np.zeros(n)
-    x[white_members] = x_white
-    diagonal = np.zeros(n)
-    for j in white_members:
-        diagonal[j] = -float(x @ w[:, j]) / x[j]
-    return diagonal
 
 
 @dataclass(frozen=True)
@@ -410,7 +307,8 @@ def sampled_verdict(
     the support decides reach every vertex, every realization is balancing
     and none is drawn.  Otherwise the trials resume from where those rounds
     stop: trial 0 alone, the rest in lockstep batches within
-    ``BATCH_BYTES``; a batch reports its lowest failing trial, so the
+    ``BATCH_BYTES``, each realization of a batch that disagrees on a rank
+    decision on its own; a batch reports its lowest failing trial, so the
     verdict is the one a loop over the trials in order gives.
     """
     if trials < 1:
@@ -422,13 +320,15 @@ def sampled_verdict(
     steps, zero = _exact_rounds(g.out_masks, leader_mask, g.full_mask)
     if zero == g.full_mask:
         return OracleVerdict(corroborated=True, trials=trials)
-    edges = _edge_arrays(g)
     batch = max(1, BATCH_BYTES // (8 * g.n * g.n))
     start, stop = 0, 1  # trial 0 alone: a graph that is not balancing fails there
     while start < trials:
         realizations = [sample_realization(g, seed + offset) for offset in range(start, stop)]
-        results = _zero_extension(_stacked_adjacency(g, edges, realizations), zero, steps)
-        for offset, r, (trace, _, _) in zip(range(start, stop), realizations, results):
+        w = _stacked_adjacency(g, realizations)
+        traces = _zero_extension(w, zero, steps) or [
+            _zero_extension(w[i : i + 1], zero, steps)[0] for i in range(len(w))
+        ]
+        for offset, r, trace in zip(range(start, stop), realizations, traces):
             if trace.final != g.full_mask:
                 log.debug("counterexample at seed offset %d", offset)
                 return OracleVerdict(

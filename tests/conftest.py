@@ -5,7 +5,8 @@ matching classes, the determinant without peeling, the classic forcing rule,
 the edge-operation search memoized on exact states, numeric realizations of
 slice patterns and the determinant's value there, the weighted adjacency of
 one realization, the Kalman rank test, zero extension solved from scratch
-each round or run one realization at a time, the per-trial sampled verdict)."""
+each round or run one realization at a time, the per-trial sampled verdict,
+and a witness diagonal for a leader set that is not balancing)."""
 
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ from colored_ssc.oracle import (
     Realization,
     ZeroExtensionTrace,
     sample_realization,
+    zero_extension_derived_set,
 )
 
 
@@ -67,13 +69,20 @@ def fig():
 
 
 # Malformed graph-file fields that validate must refuse with GraphFormatError:
-# a non-list, a non-integer, and a fractional label int() would truncate.
+# a non-list, a non-integer, a fractional label int() would truncate, a
+# string or an object where an array belongs (iterating it would read its
+# characters or keys as entries), and a color name that is not a string.
 MALFORMED_FIELDS = (
     {"edges": 5},
     {"edges": [5]},
     {"leaders": 5},
     {"leaders": [1, None]},
     {"edges": [[1.7, 2, 1]]},
+    {"colors": "c"},
+    {"colors": {"c1": 1}},
+    {"colors": [["c1"]]},
+    {"edges": ["121"]},
+    {"leaders": "1"},
 )
 
 
@@ -535,11 +544,15 @@ def reference_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
     return ZeroExtensionTrace(initial=initial, steps=tuple(steps), final=zero)
 
 
-def per_trial_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
+def per_trial_zero_extension(
+    w: np.ndarray, zero: int, decisions: list | None = None
+) -> ZeroExtensionTrace:
     """Zero extension of one realization with one null basis, updated one
     Householder reflection per independent equation.  Reference route for
     the production routine, which runs a stack of realizations in
-    lockstep."""
+    lockstep.  Each rank decision, in the order the production routine
+    takes it, is appended to ``decisions`` when given: ``("equation", j,
+    independent)`` per admitted equation, ``("forced", mask)`` per round."""
     n = w.shape[0]
     column_norms = np.linalg.norm(w, axis=0)
     white = np.array([v for v in range(n) if not zero >> v & 1], dtype=np.intp)
@@ -551,7 +564,10 @@ def per_trial_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
         for j in admit:
             m = basis @ w[white, j]
             size = math.sqrt(m @ m)
-            if size > NULLSPACE_REL_TOL * column_norms[j]:
+            independent = bool(size > NULLSPACE_REL_TOL * column_norms[j])
+            if decisions is not None:
+                decisions.append(("equation", j, independent))
+            if independent:
                 m[0] += math.copysign(size, m[0])  # the reflection's normal
                 basis = basis[1:] - (m[1:] * (2.0 / (m @ m)))[:, None] * (m @ basis)
         if len(basis):
@@ -559,6 +575,8 @@ def per_trial_zero_extension(w: np.ndarray, zero: int) -> ZeroExtensionTrace:
             forced = np.sqrt(squares) < NULLSPACE_REL_TOL * math.sqrt(squares.sum())
         else:
             forced = np.ones(len(white), dtype=bool)
+        if decisions is not None:
+            decisions.append(("forced", vset(white[forced].tolist())))
         if not forced.any():
             break
         admit = white[forced].tolist()
@@ -583,6 +601,47 @@ def per_trial_verdict(
                 corroborated=False, trials=trials, counterexample=r, seed_offset=offset
             )
     return OracleVerdict(corroborated=True, trials=trials)
+
+
+def uncontrollable_witness(
+    w: np.ndarray, leader_mask: int, rng: np.random.Generator | None = None
+) -> np.ndarray | None:
+    """A diagonal making (W + diag, B) uncontrollable, or None if balancing.
+
+    When zero extension sticks at D != V, a generic null vector of the
+    stuck balance system is nonzero on every white vertex; solving each
+    white vertex's own balance for the diagonal entry turns that vector
+    into a left eigenvector orthogonal to the input directions.
+    """
+    rng = rng or np.random.default_rng(0)
+    n = w.shape[0]
+    final = zero_extension_derived_set(w, leader_mask).final
+    if final == (1 << n) - 1:
+        return None
+    white_members = [v for v in range(n) if not final >> v & 1]
+    system = w[np.ix_(white_members, list(iter_vset(final)))].T
+    basis = scipy.linalg.null_space(system).T  # orthonormal rows
+    # A generic null vector is nonzero on every white vertex; prefer the
+    # draw with the best min/max coordinate ratio so the solved-for
+    # diagonal entries stay moderate.
+    x_white = None
+    best_ratio = 0.0
+    for _ in range(64):
+        candidate = rng.standard_normal(len(basis)) @ basis
+        top = float(np.max(np.abs(candidate), initial=0.0))
+        if top == 0.0:
+            continue
+        ratio = float(np.min(np.abs(candidate))) / top
+        if ratio > best_ratio:
+            best_ratio, x_white = ratio, candidate / top
+    if x_white is None or best_ratio < 1e-12:
+        return None  # pathological draws; the stuck set itself already proves non-balancing
+    x = np.zeros(n)
+    x[white_members] = x_white
+    diagonal = np.zeros(n)
+    for j in white_members:
+        diagonal[j] = -float(x @ w[:, j]) / x[j]
+    return diagonal
 
 
 # One line per acceptance criterion, printed after the run so the verdicts

@@ -34,7 +34,6 @@ from colored_ssc.graph import ColoredDigraph, induced_bipartite
 from colored_ssc.oracle import (
     sample_realization,
     sampled_verdict,
-    uncontrollable_witness,
     zero_extension_derived_set,
 )
 
@@ -51,6 +50,7 @@ from conftest import (
     record_criterion,
     sample_color_values,
     sampled_diagonal,
+    uncontrollable_witness,
     weighted_adjacency,
 )
 

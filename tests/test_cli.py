@@ -58,6 +58,23 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ") and "'a'" in err
 
+    def test_deep_nesting(self, tmp_path):
+        # the JSON parser recurses once per level; run in a new interpreter,
+        # so that a traceback would show on stderr
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        src = str(Path(colored_ssc.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "colored_ssc", "check", str(deep)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == EXIT_INPUT_ERROR and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/nonexistent.json")
         assert code == EXIT_INPUT_ERROR

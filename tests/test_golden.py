@@ -4,7 +4,10 @@ on every corpus graph must print exactly what ``golden_corpus.json`` holds,
 and ``check --json --budget 200``, ``oracle --json --seed 3`` and
 ``forcing --json`` (exhaustive and greedy) over a fixed-seed random sweep
 must print output with the stored sha256s.  The oracle sweep pins the color
-values of the counterexamples it prints, which no corpus graph has.
+values of the counterexamples it prints, which no corpus graph has.  A
+digest of ``oracle --json`` over the n = 30-62 scale family pins the
+lockstep batches at the target scale, which the small graphs of the sweep
+never stack past a few rows.
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -20,15 +23,16 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from colored_ssc.cli import main
 from colored_ssc.corpus import GRAPH_IDS, path as fig_path
-from colored_ssc.graph import serialize
+from colored_ssc.graph import ColoredDigraph, serialize
 
-from conftest import random_digraph
+from conftest import random_digraph, scale_graph
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 COMMANDS = {
@@ -46,6 +50,8 @@ SWEEPS = {
     "sweep forcing --greedy --json": ("forcing", "--greedy", "--json"),
 }
 SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
+SCALE_SWEEP = "scale oracle --json"
+SCALE_SIZES, SCALE_GRAPHS = (30, 40, 50, 62), 12
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -61,21 +67,34 @@ def run_corpus(command: str, graph_id: str) -> tuple[int, str, str]:
     return run([name, str(fig_path(graph_id)), *flags])
 
 
-def sweep_sha256(sweep: str) -> str:
-    """Digest of exit code, stdout and stderr of the sweep's command on each
-    graph of a fixed-seed ``random_digraph`` sweep (n = 4-10).  Files are
-    named by index, so the reported graph ids are stable."""
-    name, *flags = SWEEPS[sweep]
-    rng = np.random.default_rng(SWEEP_SEED)
+def _digest(graphs: Iterable[ColoredDigraph], argv: tuple[str, ...]) -> str:
+    """Digest of exit code, stdout and stderr of the command ``argv`` on
+    each graph.  Files are named by index, so the reported graph ids are
+    stable."""
+    name, *flags = argv
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(SWEEP_GRAPHS):
-            g = random_digraph(rng, n_min=4, n_max=10, edge_prob=0.3)
+        for i, g in enumerate(graphs):
             path = Path(tmp) / f"g{i:03d}.json"
             path.write_text(json.dumps(serialize(g)))
             code, out, err = run([name, str(path), *flags])
             digest.update(f"{i} {code}\n{out}\n{err}\n".encode())
     return digest.hexdigest()
+
+
+def sweep_sha256(sweep: str) -> str:
+    """The sweep's command digested over a fixed-seed ``random_digraph``
+    sweep (n = 4-10)."""
+    rng = np.random.default_rng(SWEEP_SEED)
+    graphs = (random_digraph(rng, n_min=4, n_max=10, edge_prob=0.3) for _ in range(SWEEP_GRAPHS))
+    return _digest(graphs, SWEEPS[sweep])
+
+
+def scale_sha256() -> str:
+    """``oracle --json`` digested over graphs 0-11 of each size of the
+    scale family."""
+    graphs = (scale_graph(n, i) for n in SCALE_SIZES for i in range(SCALE_GRAPHS))
+    return _digest(graphs, ("oracle", "--json"))
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +103,7 @@ def golden() -> dict:
 
 
 def test_golden_covers_corpus(golden):
-    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS])
+    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, SCALE_SWEEP])
     assert all(sorted(golden[g]) == sorted(COMMANDS) for g in GRAPH_IDS)
 
 
@@ -115,6 +134,10 @@ def test_random_forcing_sweep_digest(golden, sweep):
     assert sweep_sha256(sweep) == golden[sweep]
 
 
+def test_scale_oracle_digest(golden):
+    assert scale_sha256() == golden[SCALE_SWEEP]
+
+
 if __name__ == "__main__":
     table: dict = {}
     for g in GRAPH_IDS:
@@ -125,5 +148,6 @@ if __name__ == "__main__":
             table[g][c] = {"exit": code, "report": json.loads(out)}
     for sweep in SWEEPS:
         table[sweep] = sweep_sha256(sweep)
+    table[SCALE_SWEEP] = scale_sha256()
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -83,6 +83,10 @@ class TestValidate:
             with pytest.raises(GraphFormatError, match=f"field '{name}'"):
                 validate({"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], **fields})
 
+    def test_deep_nesting_refused(self):
+        with pytest.raises(GraphFormatError, match="nested too deeply"):
+            validate("[" * 200_000 + "]" * 200_000)
+
     def test_integral_labels_still_accepted(self):
         loose = {"n": 2.0, "colors": ["c1"], "edges": [[1.0, "2", 1]], "leaders": ["1"]}
         strict = {"n": 2, "colors": ["c1"], "edges": [[1, 2, 1]], "leaders": [1]}
