@@ -273,15 +273,37 @@ class EeoTrace:
         return True
 
 
+def _edge_moves(graph: ColoredDigraph, stuck: list[DerivationTrace]):
+    """Each stuck set's operations, in order, as (derivation, op, stage key
+    of the stage the op leads to)."""
+    for derivation in stuck:
+        final, names, code = stage_key(graph, derivation.final)
+        for op in find_edge_ops(graph, final):
+            yield derivation, op, (final, names, code ^ op_delta(graph, op))
+
+
+def _trace(path: list[list], graph: ColoredDigraph, derivation: DerivationTrace) -> EeoTrace:
+    """The trace along ``path`` that ends with ``derivation`` on ``graph``."""
+    return EeoTrace(
+        graphs=(*(frame[0] for frame in path), graph),
+        derivations=(*(frame[1][0] for frame in path), derivation),
+        ops=tuple(frame[1][1] for frame in path),
+    )
+
+
 def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) -> EeoTrace:
     """Grow the black set by alternating forcing phases with edge operations.
 
     Each stage first searches force derivations; if none reaches V the
-    search branches over every maximal derived set and every applicable
-    operation on it, depth first.  The root stage is the zero-forcing test
-    of ``black``.  Returns the trace with the largest final black set
-    found, preferring complete ones; an exhausted ``budget`` of stages (the
-    root one included; 10 000 when None) flags the trace instead of
+    search branches over every maximal derived set, largest first, and
+    every applicable operation on it, depth first along an explicit path of
+    frames [stage graph, move taken, moves left].  The root stage is the
+    zero-forcing test of ``black``.  Returns the trace with the largest
+    final black set found, preferring complete ones.  Only a stage's first
+    stuck set can be larger than the best so far, so a trace is built from
+    the path only then; for the same reason, once the ``budget`` of stages
+    (the root one included; 10 000 when None) is spent, no set left on the
+    path can be, and the best trace is returned at once, flagged, instead of
     raising.  A budget below 1 raises ValueError.
 
     Stages are memoized on :func:`stage_key`, all a stage's subtree can
@@ -296,55 +318,32 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     limit = 10_000 if budget is None else budget
     if limit < 1:
         raise ValueError(f"edge-operation budget must be >= 1, got {limit}")
-    states = 0
-    memo: set[StageKey] = set()
+    memo: set[StageKey] = {stage_key(g, black)}
     best: EeoTrace | None = None
-
-    def consider(candidate: EeoTrace) -> None:
-        nonlocal best
-        if best is None or candidate.final.bit_count() > best.final.bit_count():
-            best = candidate
-
-    def dfs(
-        graph: ColoredDigraph,
-        current: int,
-        graphs: tuple[ColoredDigraph, ...],
-        derivations: tuple[DerivationTrace, ...],
-        ops: tuple[EdgeOp, ...],
-    ) -> EeoTrace | None:
-        nonlocal states
-        states += 1
-        if states > limit:
-            return None
-        witness, stuck = derivation_outcomes(graph, current)
+    path: list[list] = []
+    graph, states = g, 1
+    while True:
+        witness, stuck = derivation_outcomes(graph, black)
         if witness is not None:
-            return EeoTrace(graphs + (graph,), derivations + (witness,), ops)
+            return _trace(path, graph, witness)
         # Prefer branching from larger derived sets; ties break on the mask.
         stuck.sort(key=lambda d: (-d.final.bit_count(), d.final))
-        for derivation in stuck:
-            consider(EeoTrace(graphs + (graph,), derivations + (derivation,), ops))
-            final, names, code = stage_key(graph, derivation.final)
-            for op in find_edge_ops(graph, final):
-                key = (final, names, code ^ op_delta(graph, op))
-                if key in memo:
-                    continue
-                memo.add(key)
-                result = dfs(
-                    apply_op(graph, op),
-                    final,
-                    graphs + (graph,),
-                    derivations + (derivation,),
-                    ops + (op,),
-                )
-                if result is not None:
-                    return result
-        return None
-
-    memo.add(stage_key(g, black))
-    result = dfs(g, black, (), (), ())
-    if result is not None:
-        return result
-    assert best is not None
-    if states > limit:
-        return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True)
-    return best
+        if best is None or stuck[0].final.bit_count() > best.final.bit_count():
+            best = _trace(path, graph, stuck[0])
+        path.append([graph, None, _edge_moves(graph, stuck)])
+        while path:
+            frame = path[-1]
+            move = next(frame[2], None)
+            if move is None:
+                path.pop()
+                continue
+            frame[1] = move
+            if move[2] not in memo:
+                break
+        else:
+            return best
+        if states == limit:
+            return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True)
+        states += 1
+        memo.add(move[2])
+        graph, black = apply_op(frame[0], move[1]), move[0].final

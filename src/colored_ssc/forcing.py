@@ -185,35 +185,30 @@ def derivation_outcomes(
     the first trace that reached it; without a witness that is every stuck
     set reachable from ``black``.  Black sets proven unable to reach V are
     memoized and never re-expanded, so no stuck set is recorded twice.
-    Forces are drawn from :func:`iter_forces` one at a time, so the forces
-    after the one that leads to V are never tested.
+    The search walks an explicit path of frames [black set, force taken,
+    forces left] and draws forces from :func:`iter_forces` one at a time,
+    so the forces after the one that leads to V are never tested.
     """
-    full = g.full_mask
+    start, full = black, g.full_mask
     dead: set[int] = set()
     stuck: list[DerivationTrace] = []
-    path: list[Force] = []
-
-    def dfs(black: int) -> bool:
-        if black == full:
-            return True
-        if black in dead:
-            return False
-        forced = False
-        for force in iter_forces(g, black):
-            forced = True
-            path.append(force)
-            if dfs(black | force.target):
-                return True
-            path.pop()
-        if not forced:
-            stuck.append(DerivationTrace(initial=start, steps=tuple(path), final=black))
-        dead.add(black)
-        return False
-
-    start = black
-    if dfs(black):
-        return DerivationTrace(initial=start, steps=tuple(path), final=full), stuck
-    return None, stuck
+    path: list[list] = []
+    while black != full:
+        path.append([black, None, iter_forces(g, black)])
+        while path:
+            frame = path[-1]
+            force = next(frame[2], None)
+            if force is None:
+                if frame[1] is None:
+                    stuck.append(DerivationTrace(start, tuple(f[1] for f in path[:-1]), frame[0]))
+                dead.add(path.pop()[0])
+                continue
+            frame[1], black = force, frame[0] | force.target
+            if black not in dead:
+                break
+        else:
+            return None, stuck
+    return DerivationTrace(start, tuple(f[1] for f in path), full), stuck
 
 
 def is_zero_forcing_set(g: ColoredDigraph, black: int) -> tuple[bool, DerivationTrace | None]:

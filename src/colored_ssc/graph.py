@@ -301,9 +301,10 @@ def _name(raw) -> str:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a fractional number rather than truncating it."""
+    """``int(value)``, refusing a boolean or a fractional number rather than
+    reading it as 0 or 1 or truncating it."""
     number = int(value)
-    if isinstance(value, float) and number != value:
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
         raise GraphFormatError(f"{value!r} is not an integer")
     return number
 

@@ -71,7 +71,8 @@ def fig():
 # Malformed graph-file fields that validate must refuse with GraphFormatError:
 # a non-list, a non-integer, a fractional label int() would truncate, a
 # string or an object where an array belongs (iterating it would read its
-# characters or keys as entries), and a color name that is not a string.
+# characters or keys as entries), a color name that is not a string, and a
+# JSON true where an integer belongs (int() would read it as 1).
 MALFORMED_FIELDS = (
     {"edges": 5},
     {"edges": [5]},
@@ -83,6 +84,9 @@ MALFORMED_FIELDS = (
     {"colors": [["c1"]]},
     {"edges": ["121"]},
     {"leaders": "1"},
+    {"n": True},
+    {"edges": [[True, 2, 1]]},
+    {"leaders": [True]},
 )
 
 

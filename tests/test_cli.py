@@ -140,6 +140,23 @@ class TestCheck:
         _, out, _ = run_cli(capsys, "check", path, "--budget", "1", "--json")
         assert json.loads(out)["edge_operations"]["budget_exhausted"] is True
 
+    def test_deep_search_gets_a_verdict(self, capsys, tmp_path):
+        # leaders 1 and 2 share a one-color fan to 3 and 4 that no force can
+        # pass, and the path 5 -> ... -> 38 -> 3 gives the fan 34 more colors
+        # to turn to: the edge-operation search walks deeper than the
+        # interpreter's recursion limit before it exhausts the space
+        edges = [[1, 3, 1], [1, 4, 1], [2, 3, 1], [2, 4, 1]]
+        edges += [[v, v + 1, v - 3] for v in range(5, 38)] + [[38, 3, 35]]
+        colors = [f"c{i}" for i in range(1, 36)]
+        doc = {"n": 39, "colors": colors, "edges": edges, "leaders": [1, 2]}
+        target = tmp_path / "deep.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(target), "--json")
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        assert json.loads(out)["verdict"] == "UNDECIDED"
+        code, _, err = run_cli(capsys, "eeo-derive", str(target))
+        assert (code, err) == (EXIT_OK, "")
+
     def test_exit_codes_stable(self, capsys):
         argv = ("check", str(fig_path("fig8")), "--json", "--oracle", "--seed", "7")
         first = run_cli(capsys, *argv)

@@ -310,6 +310,34 @@ class TestStageMemo:
                 deduplicated += len(stages) < reference_stages
         assert exhausted > 10 and finished > 10 and deduplicated > 0
 
+    def test_no_operation_past_the_budget(self, monkeypatch):
+        # each operation applied builds a stage that is then expanded, so a
+        # spent budget applies no more of them
+        stages, applied = [], []
+        outcomes, apply = edgeops.derivation_outcomes, edgeops.apply_op
+
+        def counting_outcomes(graph, black):
+            stages.append(black)
+            return outcomes(graph, black)
+
+        def counting_apply(graph, op):
+            applied.append(op)
+            return apply(graph, op)
+
+        monkeypatch.setattr(edgeops, "derivation_outcomes", counting_outcomes)
+        monkeypatch.setattr(edgeops, "apply_op", counting_apply)
+        rng = np.random.default_rng(5)
+        exhausted = 0
+        for trial in range(120):
+            g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
+            black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
+            stages.clear()
+            applied.clear()
+            trace = eeo_derived_set(g, black, budget=(1, 4, 30)[trial % 3])
+            exhausted += trace.budget_exhausted
+            assert len(applied) == len(stages) - 1
+        assert exhausted > 10
+
     def test_stages_counted_once(self, monkeypatch):
         g = validate(FS_SEED9_501)
         stages = []

@@ -1,10 +1,12 @@
 """Golden certificates: ``check --json``, ``forcing --json`` (exhaustive and
 greedy), ``eeo-derive --json``, ``oracle --json --seed 3`` and ``validate``
 on every corpus graph must print exactly what ``golden_corpus.json`` holds,
-and ``check --json --budget 200``, ``oracle --json --seed 3`` and
-``forcing --json`` (exhaustive and greedy) over a fixed-seed random sweep
-must print output with the stored sha256s.  The oracle sweep pins the color
-values of the counterexamples it prints, which no corpus graph has.  A
+and ``check --json --budget 200``, ``oracle --json --seed 3``,
+``forcing --json`` (exhaustive and greedy) and ``eeo-derive --json --budget 2``
+over a fixed-seed random sweep must print output with the stored sha256s.
+The oracle sweep pins the color values of the counterexamples it prints,
+which no corpus graph has; the budget-2 sweep pins the traces of searches
+that spend their budget, which no other entry reaches.  A
 digest of ``oracle --json`` over the n = 30-62 scale family pins the
 lockstep batches at the target scale, which the small graphs of the sweep
 never stack past a few rows.
@@ -48,6 +50,7 @@ SWEEPS = {
     "sweep oracle --json --seed 3": ("oracle", "--json", "--seed", "3"),
     "sweep forcing --json": ("forcing", "--json"),
     "sweep forcing --greedy --json": ("forcing", "--greedy", "--json"),
+    "sweep eeo-derive --json --budget 2": ("eeo-derive", "--json", "--budget", "2"),
 }
 SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
 SCALE_SWEEP = "scale oracle --json"
@@ -129,7 +132,14 @@ def test_random_oracle_sweep_digest(golden):
     assert sweep_sha256(sweep) == golden[sweep]
 
 
-@pytest.mark.parametrize("sweep", ["sweep forcing --json", "sweep forcing --greedy --json"])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        "sweep forcing --json",
+        "sweep forcing --greedy --json",
+        "sweep eeo-derive --json --budget 2",
+    ],
+)
 def test_random_forcing_sweep_digest(golden, sweep):
     assert sweep_sha256(sweep) == golden[sweep]
 
