@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="DOT rendering of the graph or a derived stage")
     _common_flags(p, with_json=False)
-    p.add_argument("--stage", type=int, default=0, help="0 = input graph, k = after k-th op")
+    p.add_argument(
+        "--stage", type=_int_at_least(0), default=0, help="0 = input graph, k = after k-th op"
+    )
     p.add_argument("--budget", type=_int_at_least(1), default=None)
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
@@ -317,7 +319,7 @@ def _cmd_export_dot(args) -> int:
         text = to_dot(g)
     else:
         _, trace = _run_eeo(args)
-        if not 0 <= args.stage < len(trace.graphs):
+        if args.stage >= len(trace.graphs):
             raise UnknownStageError(
                 f"stage {args.stage} does not exist; trace has {len(trace.graphs)} stage(s)"
             )

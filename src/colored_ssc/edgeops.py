@@ -308,7 +308,12 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
 
     Stages are memoized on :func:`stage_key`, all a stage's subtree can
     read; an operation updates the key's edge hash by :func:`op_delta`, and
-    a stage graph is built only when its key is new.  A repeated key is
+    a stage graph is built only when its key is new.  A stage reached by an
+    operation starts at the stuck set the operation was validated against,
+    where its parent stage had no force; the operation changed only the
+    out-edges of its tail (``u`` for a recoloring, ``v`` for a removal)
+    into white vertices, so only sources that contain the tail are tested
+    there (see :func:`derivation_outcomes`).  A repeated key is
     either an ancestor, then the same graph, or a finished stage, whose
     subtree found no certificate and no larger set, so skipping it changes
     nothing but the work; the budget counts distinct stages.  A hash
@@ -321,9 +326,9 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     memo: set[StageKey] = {stage_key(g, black)}
     best: EeoTrace | None = None
     path: list[list] = []
-    graph, states = g, 1
+    graph, states, changed = g, 1, -1
     while True:
-        witness, stuck = derivation_outcomes(graph, black)
+        witness, stuck = derivation_outcomes(graph, black, changed)
         if witness is not None:
             return _trace(path, graph, witness)
         # Prefer branching from larger derived sets; ties break on the mask.
@@ -346,4 +351,6 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
             return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True)
         states += 1
         memo.add(move[2])
-        graph, black = apply_op(frame[0], move[1]), move[0].final
+        derivation, op, _ = move
+        changed = 1 << (op.u if isinstance(op, TurnColor) else op.v)
+        graph, black = apply_op(frame[0], op), derivation.final

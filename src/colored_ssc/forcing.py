@@ -9,10 +9,10 @@ over force choices, memoizing black sets that provably cannot reach V.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 
-from .bipartite import EnumerationCapError, slice_signature
+from .bipartite import ENUMERATION_CAP, EnumerationCapError, slice_signature
 from .graph import ColoredDigraph, iter_vset, slice_key, vset_labels, white_out_neighbors
 # Unused here; kept bound because perfbench/tracing.py wraps these names.
 from .bipartite import certifying_signature  # noqa: F401
@@ -85,7 +85,9 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
     return Force(source=source, target=target, class_signature=signature)
 
 
-def iter_forces(g: ColoredDigraph, black: int) -> Iterator[Force]:
+def iter_forces(
+    g: ColoredDigraph, black: int, dead: Container[int] = frozenset(), changed: int = -1
+) -> Iterator[Force]:
     """The forces available at ``black``, smallest source first, each slice
     tested only when the next force is asked for.
 
@@ -95,13 +97,22 @@ def iter_forces(g: ColoredDigraph, black: int) -> Iterator[Force]:
     other one is a zero row of every slice it joins), no larger than the
     white set.  Once the walk has listed more than ``2**MAX_SOURCE_CAP - 1``
     of them, drawing the next force raises :class:`SearchBoundExceededError`.
+
+    Two arguments let a search skip slice tests whose answers it cannot
+    use.  After the first force, a source whose child ``black | target`` is
+    in ``dead`` is not tested: the search drops a force into a dead child,
+    and ``black`` is no longer stuck once it has a force.  Only sources
+    that meet ``changed`` are tested at all (every source by default); the
+    caller vouches that no other source forces (see
+    :func:`derivation_outcomes`).
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
-    return _forces_from(g, candidates, min(len(candidates), white.bit_count()))
+    limit = min(len(candidates), white.bit_count())
+    return _forces_from(g, black, candidates, limit, dead, changed)
 
 
 def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
@@ -110,7 +121,12 @@ def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
 
 
 def _forces_from(
-    g: ColoredDigraph, candidates: list[tuple[int, int]], limit: int
+    g: ColoredDigraph,
+    black: int,
+    candidates: list[tuple[int, int]],
+    limit: int,
+    dead: Container[int],
+    changed: int,
 ) -> Iterator[Force]:
     """The forces whose sources are subsets of ``candidates`` of at most
     ``limit`` members, in the order :func:`iter_forces` documents.
@@ -121,11 +137,19 @@ def _forces_from(
     target), grown from the previous level by a later candidate, so a level
     is in lexicographic order.  Adding members only grows the white target,
     so a subset is dropped once its target is wider than any source it can
-    still reach.  A slice is tested when its force is asked for.  The
+    still reach.  A slice is tested when its force is asked for, unless
+    ``dead`` or ``changed`` skips it as :func:`iter_forces` says.  The
     subsets listed are counted as each parent node grows, and one more than
     ``2**MAX_SOURCE_CAP - 1`` raises :class:`SearchBoundExceededError`.
+
+    The skips leave the walk and its count alone, so the budget is passed
+    at the same subset with or without them.  A dead child's slice wider
+    than ``ENUMERATION_CAP`` is still passed to ``slice_signature`` for the
+    :class:`EnumerationCapError` it raises; a source ``changed`` skips has
+    the slice it had where it was tested without error.
     """
     budget = (1 << MAX_SOURCE_CAP) - 1
+    found = False
     last = len(candidates) - 1
     level = [(-1, 0, 0)]
     for size in range(1, limit + 1):
@@ -144,10 +168,14 @@ def _forces_from(
         budget -= len(grown)
         level = grown
         for _, source, target in level:
-            if target.bit_count() == size:
-                signature = slice_signature(slice_key(g, source, target))
-                if signature is not None:
-                    yield Force(source=source, target=target, class_signature=signature)
+            if target.bit_count() != size or not source & changed:
+                continue
+            if found and size <= ENUMERATION_CAP and black | target in dead:
+                continue
+            signature = slice_signature(slice_key(g, source, target))
+            if signature is not None:
+                found = True
+                yield Force(source=source, target=target, class_signature=signature)
 
 
 def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:
@@ -176,7 +204,7 @@ def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:
 
 
 def derivation_outcomes(
-    g: ColoredDigraph, black: int
+    g: ColoredDigraph, black: int, changed: int = -1
 ) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
     """Backtracking search over force choices.
 
@@ -188,13 +216,24 @@ def derivation_outcomes(
     The search walks an explicit path of frames [black set, force taken,
     forces left] and draws forces from :func:`iter_forces` one at a time,
     so the forces after the one that leads to V are never tested.
+
+    Each black set draws its forces with the live ``dead`` set, so once it
+    has one force no slice of a dead child is tested: the search would drop
+    that force, and the black set is no longer stuck.  At ``black`` itself
+    only sources that meet ``changed`` are tested.  That is exact when
+    ``black`` had no force on a graph that differs from ``g`` only in the
+    out-edges of the ``changed`` vertices into white ones: every other
+    source has the same slice on both graphs, and ``g`` lists no subset
+    without them that the other graph's walk, which has every candidate
+    ``g`` has and no smaller limit, did not.
     """
     start, full = black, g.full_mask
     dead: set[int] = set()
     stuck: list[DerivationTrace] = []
     path: list[list] = []
     while black != full:
-        path.append([black, None, iter_forces(g, black)])
+        path.append([black, None, iter_forces(g, black, dead, changed)])
+        changed = -1
         while path:
             frame = path[-1]
             force = next(frame[2], None)

@@ -271,7 +271,7 @@ def _field(description: Mapping, name: str, parse):
         return parse(description[name])
     except KeyError:
         raise GraphFormatError(f"missing field {name!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"malformed field {name!r}: {exc}") from exc
 
 

@@ -87,6 +87,9 @@ MALFORMED_FIELDS = (
     {"n": True},
     {"edges": [[True, 2, 1]]},
     {"leaders": [True]},
+    {"n": math.inf},
+    {"edges": [[1, 2, 1e400]]},
+    {"leaders": [-math.inf]},
 )
 
 

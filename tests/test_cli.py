@@ -205,6 +205,7 @@ class TestUsage:
             (["check", "fig5", "--oracle", "--trials", "-2"], "--trials"),
             (["oracle", "fig2", "--seed", "-1"], "--seed"),
             (["check", "fig5", "--budget", "two"], "--budget"),
+            (["export-dot", "fig5", "--stage", "-1"], "--stage"),
         ],
     )
     def test_out_of_range_option_is_input_error(self, capsys, argv, flag):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from colored_ssc import edgeops, forcing
-from colored_ssc.analysis import analyze
+from colored_ssc.analysis import analyze, eeo_to_jsonable
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
 from colored_ssc.edgeops import (
     ColorMismatchError,
@@ -36,6 +36,7 @@ from colored_ssc.oracle import (
 )
 
 from conftest import (
+    eager_forces,
     labels,
     members1,
     random_digraph,
@@ -316,9 +317,9 @@ class TestStageMemo:
         stages, applied = [], []
         outcomes, apply = edgeops.derivation_outcomes, edgeops.apply_op
 
-        def counting_outcomes(graph, black):
+        def counting_outcomes(graph, black, *args, **kwargs):
             stages.append(black)
-            return outcomes(graph, black)
+            return outcomes(graph, black, *args, **kwargs)
 
         def counting_apply(graph, op):
             applied.append(op)
@@ -352,6 +353,86 @@ class TestStageMemo:
         assert len(stages) == 486
         assert not trace.complete and not trace.budget_exhausted
         assert trace.replay_ok()
+
+
+class TestSliceSkips:
+    """The force search skips a slice test only where the answer cannot
+    change the search: after a black set's first force, for a child that is
+    already dead, and at the stuck set a stage starts from, for a source
+    without the tail of the operation that built the stage."""
+
+    @staticmethod
+    def searches() -> list:
+        rng = np.random.default_rng(41)
+        cases = []
+        for trial in range(210):
+            g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
+            black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
+            cases.append((g, black, (1, 4, 30)[trial % 3]))
+        return cases
+
+    def test_traces_match_eager_reference(self, monkeypatch):
+        # the eager reference tests every slice and ignores both skips
+        cases = self.searches()
+        traces = [eeo_to_jsonable(eeo_derived_set(g, b, budget=k)) for g, b, k in cases]
+        monkeypatch.setattr(forcing, "iter_forces", lambda g, b, *_: iter(eager_forces(g, b)))
+        assert [eeo_to_jsonable(eeo_derived_set(g, b, budget=k)) for g, b, k in cases] == traces
+        assert sum(t["budget_exhausted"] for t in traces) > 10
+        assert sum(t["complete"] for t in traces) > 10
+        assert sum(bool(t["ops"]) for t in traces) > 5
+
+    def test_no_skippable_slice_tested(self, monkeypatch):
+        iter_forces, slice_key = forcing.iter_forces, forcing.slice_key
+        outcomes, apply = edgeops.derivation_outcomes, edgeops.apply_op
+        stage: dict = {}  # the operation that built the stage, and whether its root is next
+        drawing: list[list] = []  # [black, dead, forces drawn, stage root?] per draw
+        seen = {"after a force": 0, "at a stage root": 0}
+
+        def spy_apply(graph, op):
+            stage["op"] = op
+            return apply(graph, op)
+
+        def spy_outcomes(graph, black, *args, **kwargs):
+            stage["root"] = True
+            return outcomes(graph, black, *args, **kwargs)
+
+        def spy_iter(g, black, dead=frozenset(), *args):
+            frame = [black, dead, 0, stage.pop("root", False)]
+            forces = iter_forces(g, black, dead, *args)
+
+            def drawn():
+                while True:
+                    drawing.append(frame)
+                    try:
+                        force = next(forces, None)
+                    finally:
+                        drawing.pop()
+                    if force is None:
+                        return
+                    frame[2] += 1
+                    yield force
+
+            return drawn()
+
+        def spy_key(g, source, target):
+            black, dead, found, root = drawing[-1]
+            if found:
+                seen["after a force"] += 1
+                assert black | target not in dead
+            if root and "op" in stage:
+                seen["at a stage root"] += 1
+                op = stage["op"]
+                assert source >> (op.u if isinstance(op, TurnColor) else op.v) & 1
+            return slice_key(g, source, target)
+
+        monkeypatch.setattr(edgeops, "apply_op", spy_apply)
+        monkeypatch.setattr(edgeops, "derivation_outcomes", spy_outcomes)
+        monkeypatch.setattr(forcing, "iter_forces", spy_iter)
+        monkeypatch.setattr(forcing, "slice_key", spy_key)
+        for g, black, budget in self.searches():
+            stage.clear()
+            eeo_derived_set(g, black, budget=budget)
+        assert seen["after a force"] > 100 and seen["at a stage root"] > 30
 
 
 class TestAnalyze:

@@ -191,8 +191,9 @@ class TestFindForces:
         assert forces == all_subsets_forces(g, labels(1, 2, 3, 4, 5))[:1]
 
 
-def _eager_iter(g, black):
-    """``iter_forces`` drawn from the eager reference."""
+def _eager_iter(g, black, *args, **kwargs):
+    """``iter_forces`` drawn from the eager reference, which tests every
+    slice: it takes and ignores the arguments that skip slice tests."""
     return iter(eager_forces(g, black))
 
 
@@ -250,6 +251,28 @@ class TestIterForces:
                 assert force.source.bit_count() <= 6
         assert calls[0] == 4095
 
+    def test_dead_child_skipped_after_first_force(self, monkeypatch):
+        # vertex v < 3 of a private-target graph forces {3 + v}: {0} is
+        # tested though its child is dead, as it is the first force, and the
+        # dead children of {1} and {0, 2} are not tested after it
+        calls = _count_slice_tests(monkeypatch)
+        g, black = _private_targets(3, n=6), 0b111
+        dead = {black | 1 << 3, black | 1 << 4, black | 1 << 3 | 1 << 5}
+        forces = [f.source for f in iter_forces(g, black, dead)]
+        assert forces == [0b001, 0b100, 0b011, 0b110, 0b111]
+        assert calls[0] == 5
+
+    def test_dead_child_still_meets_the_cap(self):
+        # 13 black vertices: 0 forces white 13 alone; every other one points
+        # at all 13 whites, so the one other listed subset with a square
+        # slice is all 13, too wide to test even though its child is dead
+        edges = [(0, 13, 0), *((v, w, 0) for v in range(1, 13) for w in range(13, 26))]
+        g = ColoredDigraph(n=26, edges=tuple(edges), colors=("c1",))
+        forces = iter_forces(g, (1 << 13) - 1, dead={g.full_mask})
+        assert next(forces).target == 1 << 13
+        with pytest.raises(EnumerationCapError):
+            next(forces)
+
     def test_search_tests_fewer_slices(self, monkeypatch):
         g = load_fig("fig7d")  # a zero forcing set with several forces per step
         calls = _count_slice_tests(monkeypatch)
@@ -273,9 +296,9 @@ class TestIterForces:
         def run(search, g, cap):
             seen: list[int] = []
 
-            def recording(graph, black):
+            def recording(graph, black, *args, **kwargs):
                 seen.append(black)
-                return search(graph, black)
+                return search(graph, black, *args, **kwargs)
 
             monkeypatch.setattr(forcing, "iter_forces", recording)
             monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", cap)

@@ -9,7 +9,9 @@ which no corpus graph has; the budget-2 sweep pins the traces of searches
 that spend their budget, which no other entry reaches.  A
 digest of ``oracle --json`` over the n = 30-62 scale family pins the
 lockstep batches at the target scale, which the small graphs of the sweep
-never stack past a few rows.
+never stack past a few rows; a digest of ``check --json`` over the same
+graphs pins the certificates and the exit-3 refusals of the force search
+at the target scale.
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -53,7 +55,10 @@ SWEEPS = {
     "sweep eeo-derive --json --budget 2": ("eeo-derive", "--json", "--budget", "2"),
 }
 SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
-SCALE_SWEEP = "scale oracle --json"
+SCALE_SWEEPS = {
+    "scale oracle --json": ("oracle", "--json"),
+    "scale check --json": ("check", "--json"),
+}
 SCALE_SIZES, SCALE_GRAPHS = (30, 40, 50, 62), 12
 
 
@@ -93,11 +98,11 @@ def sweep_sha256(sweep: str) -> str:
     return _digest(graphs, SWEEPS[sweep])
 
 
-def scale_sha256() -> str:
-    """``oracle --json`` digested over graphs 0-11 of each size of the
+def scale_sha256(sweep: str) -> str:
+    """The sweep's command digested over graphs 0-11 of each size of the
     scale family."""
     graphs = (scale_graph(n, i) for n in SCALE_SIZES for i in range(SCALE_GRAPHS))
-    return _digest(graphs, ("oracle", "--json"))
+    return _digest(graphs, SCALE_SWEEPS[sweep])
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +111,7 @@ def golden() -> dict:
 
 
 def test_golden_covers_corpus(golden):
-    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, SCALE_SWEEP])
+    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, *SCALE_SWEEPS])
     assert all(sorted(golden[g]) == sorted(COMMANDS) for g in GRAPH_IDS)
 
 
@@ -145,7 +150,14 @@ def test_random_forcing_sweep_digest(golden, sweep):
 
 
 def test_scale_oracle_digest(golden):
-    assert scale_sha256() == golden[SCALE_SWEEP]
+    sweep = "scale oracle --json"
+    assert scale_sha256(sweep) == golden[sweep]
+
+
+def test_scale_check_digest(golden):
+    # 36 CONTROLLABLE, 11 refused with exit 3 and 1 UNDECIDED
+    sweep = "scale check --json"
+    assert scale_sha256(sweep) == golden[sweep]
 
 
 if __name__ == "__main__":
@@ -158,6 +170,7 @@ if __name__ == "__main__":
             table[g][c] = {"exit": code, "report": json.loads(out)}
     for sweep in SWEEPS:
         table[sweep] = sweep_sha256(sweep)
-    table[SCALE_SWEEP] = scale_sha256()
+    for sweep in SCALE_SWEEPS:
+        table[sweep] = scale_sha256(sweep)
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
