@@ -92,7 +92,12 @@ def _common_flags(parser: argparse.ArgumentParser, with_json: bool = True) -> No
 
 
 def _parse_labels(text: str, n: int, flag: str) -> int:
-    labels = [int(part) for part in text.split(",") if part]
+    labels = []
+    for part in filter(None, text.split(",")):
+        try:
+            labels.append(int(part))
+        except ValueError:
+            raise ValueError(f"{flag}: {part!r} is not a vertex label") from None
     outside = [v for v in labels if not 1 <= v <= n]
     if outside:
         raise ValueError(f"{flag} names vertices outside 1..{n}: {outside}")
@@ -343,8 +348,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("COLORED_SSC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # a registered level name maps to its number, any other text to a string
+    level = logging.getLevelName(os.environ.get("COLORED_SSC_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

@@ -12,6 +12,7 @@ original leader set.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,22 +85,27 @@ def edges_to_white(
     if not (black >> u & 1 and black >> v & 1):
         raise EdgeOpError("both vertices must be black")
     targets = white_out_neighbors(g, 1 << u, black)
-    return tuple(e for e in g.edges if e[0] == v and targets >> e[1] & 1)
+    return tuple((v, head, color) for head, color in g.out_edges[v] if targets >> head & 1)
 
 
 def _rebuild(g: ColoredDigraph, edges: tuple[tuple[int, int, int], ...]) -> ColoredDigraph:
     """New graph over the same vertices, dropping color cells that emptied.
 
     Surviving colors keep their names, so realizations keyed by name carry
-    over to derived graphs unchanged.
+    over to derived graphs unchanged.  ``edges`` are ``g``'s, in its order,
+    with some recolored within its palette or dropped, so the new graph is
+    valid by construction and is not checked again.
     """
-    used = sorted({c for _, _, c in edges})
-    remap = {c: i for i, c in enumerate(used)}
-    return ColoredDigraph(
-        n=g.n,
-        edges=tuple((t, h, remap[c]) for t, h, c in edges),
-        colors=tuple(g.colors[c] for c in used),
-        leaders=g.leaders,
+    used = {c for _, _, c in edges}
+    if len(used) == len(g.colors):
+        return ColoredDigraph.unchecked(g.n, edges, g.colors, g.leaders)
+    kept = sorted(used)
+    remap = {c: i for i, c in enumerate(kept)}
+    return ColoredDigraph.unchecked(
+        g.n,
+        tuple((t, h, remap[c]) for t, h, c in edges),
+        tuple(g.colors[c] for c in kept),
+        g.leaders,
     )
 
 
@@ -121,11 +127,13 @@ def apply_turn_color(
         raise UnknownColorError(f"color index {new_color + 1} not in palette")
     if new_color == old_color:
         raise SameColorError(f"edges from {u + 1} already have color {g.colors[old_color]}")
+    # edges are sorted, so u's are one run; its fan edges take the new color
+    lo, hi = bisect_left(g.edges, (u,)), bisect_left(g.edges, (u + 1,))
     fan_set = set(fan)
-    edges = tuple(
-        (t, h, new_color) if (t, h, c) in fan_set else (t, h, c) for t, h, c in g.edges
+    run = tuple(
+        (t, h, new_color) if (t, h, c) in fan_set else (t, h, c) for t, h, c in g.edges[lo:hi]
     )
-    return _rebuild(g, edges)
+    return _rebuild(g, g.edges[:lo] + run + g.edges[hi:])
 
 
 def apply_remove_edges(g: ColoredDigraph, u: int, v: int, black: int) -> ColoredDigraph:
@@ -187,7 +195,7 @@ def stage_key(g: ColoredDigraph, black: int) -> StageKey:
 def op_delta(g: ColoredDigraph, op: EdgeOp) -> int:
     """How ``op`` changes the edge hash of :func:`stage_key` at its context:
     the XOR of the keys of the fan edges it recolors or deletes."""
-    white = white_out_neighbors(g, 1 << op.u, op.context)
+    white = g.out_masks[op.u] & ~op.context
     tail = op.u if isinstance(op, TurnColor) else op.v
     delta = 0
     for head, color in g.out_edges[tail]:
@@ -203,24 +211,25 @@ def find_edge_ops(g: ColoredDigraph, black: int) -> list[EdgeOp]:
 
     Removals are ordered lexicographically by (u, v) and recolorings by
     (u, new_color); candidates that would not change the graph are skipped.
+    A removal (u, v) applies when u's white fan, as a set of (head, color)
+    pairs, is not empty and lies inside v's: the heads nest and the colors
+    match.
     """
-    members = list(iter_vset(black))
+    white = g.full_mask & ~black
+    fans = {
+        u: frozenset(edge for edge in g.out_edges[u] if white >> edge[0] & 1)
+        for u in iter_vset(black)
+        if g.out_masks[u] & white
+    }
     ops: list[EdgeOp] = []
-    white_of = {u: white_out_neighbors(g, 1 << u, black) for u in members}
-    for u in members:
-        if not white_of[u]:
-            continue
-        for v in members:
-            if u == v or white_of[u] & ~white_of[v]:
-                continue
-            if all(
-                g.edge_color[(u, k)] == g.edge_color[(v, k)] for k in iter_vset(white_of[u])
-            ):
-                ops.append(RemoveEdges(u=u, v=v, context=black))
-    for u in members:
-        if not white_of[u]:
-            continue
-        fan_colors = {g.edge_color[(u, k)] for k in iter_vset(white_of[u])}
+    for u, fan in fans.items():
+        ops.extend(
+            RemoveEdges(u=u, v=v, context=black)
+            for v, other in fans.items()
+            if v != u and fan <= other
+        )
+    for u, fan in fans.items():
+        fan_colors = {color for _, color in fan}
         if len(fan_colors) != 1:
             continue
         (old_color,) = fan_colors
@@ -273,11 +282,15 @@ class EeoTrace:
         return True
 
 
-def _edge_moves(graph: ColoredDigraph, stuck: list[DerivationTrace]):
+def _edge_moves(graph: ColoredDigraph, stuck: list[DerivationTrace], key: StageKey):
     """Each stuck set's operations, in order, as (derivation, op, stage key
-    of the stage the op leads to)."""
+    of the stage the op leads to); ``key`` is the stage's own key, which a
+    stuck set equal to its black set shares."""
     for derivation in stuck:
-        final, names, code = stage_key(graph, derivation.final)
+        if derivation.final == key[0]:
+            final, names, code = key
+        else:
+            final, names, code = stage_key(graph, derivation.final)
         for op in find_edge_ops(graph, final):
             yield derivation, op, (final, names, code ^ op_delta(graph, op))
 
@@ -307,8 +320,9 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     raising.  A budget below 1 raises ValueError.
 
     Stages are memoized on :func:`stage_key`, all a stage's subtree can
-    read; an operation updates the key's edge hash by :func:`op_delta`, and
-    a stage graph is built only when its key is new.  A stage reached by an
+    read; an operation updates the key's edge hash by :func:`op_delta`, a
+    stage graph is built only when its key is new, and that key serves
+    the new stage's own stuck set at its black set.  A stage reached by an
     operation starts at the stuck set the operation was validated against,
     where its parent stage had no force; the operation changed only the
     out-edges of its tail (``u`` for a recoloring, ``v`` for a removal)
@@ -323,7 +337,8 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     limit = 10_000 if budget is None else budget
     if limit < 1:
         raise ValueError(f"edge-operation budget must be >= 1, got {limit}")
-    memo: set[StageKey] = {stage_key(g, black)}
+    key = stage_key(g, black)
+    memo: set[StageKey] = {key}
     best: EeoTrace | None = None
     path: list[list] = []
     graph, states, changed = g, 1, -1
@@ -335,7 +350,7 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
         stuck.sort(key=lambda d: (-d.final.bit_count(), d.final))
         if best is None or stuck[0].final.bit_count() > best.final.bit_count():
             best = _trace(path, graph, stuck[0])
-        path.append([graph, None, _edge_moves(graph, stuck)])
+        path.append([graph, None, _edge_moves(graph, stuck, key)])
         while path:
             frame = path[-1]
             move = next(frame[2], None)
@@ -351,6 +366,6 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
             return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True)
         states += 1
         memo.add(move[2])
-        derivation, op, _ = move
+        derivation, op, key = move
         changed = 1 << (op.u if isinstance(op, TurnColor) else op.v)
         graph, black = apply_op(frame[0], op), derivation.final

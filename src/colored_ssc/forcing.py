@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bipartite import ENUMERATION_CAP, EnumerationCapError, slice_signature
 from .graph import ColoredDigraph, iter_vset, slice_key, vset_labels, white_out_neighbors
@@ -105,14 +106,27 @@ def iter_forces(
     that meet ``changed`` are tested at all (every source by default); the
     caller vouches that no other source forces (see
     :func:`derivation_outcomes`).
+
+    A third skip needs no argument.  Call a source *tight* when its target is
+    as wide as it is; only tight sources have a slice to test.  When a tight
+    source T lies inside a tight source X, the rows of T in X's slice meet
+    only T's target, so the slice is block triangular and
+    ``det X = +-det T * det(X - T -> target(X) - target(T))``.  A product of
+    polynomials is a single monomial only when both factors are, so X does
+    not force when T does not.  So a source no wider than
+    ``ENUMERATION_CAP`` that strictly contains a tight source known not to
+    force at ``black`` (one tested singular, or one that ``changed``
+    skipped) is not tested.  A wider source is still tested, so its slice
+    raises the :class:`EnumerationCapError` that every caller meets
+    without the skip.
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
-    candidates = [(bit, reach) for bit, reach in candidates if reach]
+    candidates = tuple((bit, reach) for bit, reach in candidates if reach)
     limit = min(len(candidates), white.bit_count())
-    return _forces_from(g, black, candidates, limit, dead, changed)
+    return _forces_from(g, black, _listing(candidates, limit, MAX_SOURCE_CAP), dead, changed)
 
 
 def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
@@ -120,62 +134,140 @@ def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
     return list(iter_forces(g, black))
 
 
+class _Listing:
+    """The subsets one force-source walk lists, one size at a time.
+
+    A subset is grown from one of the size below by a later candidate, as a
+    node (index of its last member, source, white target), so a size is in
+    lexicographic order.  Adding members only grows the target, so a subset
+    is dropped once its target is wider than any source it can still reach:
+    with ``i`` the index of its last member, it can reach ``size + last -
+    i`` members.  That bound also keeps every target within ``limit``, as
+    targets are white and the last member of ``size`` members has an index
+    of at least ``size - 1``.  The subsets listed are counted as each node
+    grows, and one more than ``2**cap - 1`` raises
+    :class:`SearchBoundExceededError`, again at each later request.
+
+    The listing depends only on the candidates, the limit and the cap, so
+    the walks over the same three share one (see :func:`_listing`), and each
+    size is listed once however many walks read it.
+    """
+
+    def __init__(self, candidates: tuple[tuple[int, int], ...], limit: int, cap: int) -> None:
+        self.indexed = [(i, bit, reach) for i, (bit, reach) in enumerate(candidates)]
+        self.limit, self.cap = limit, cap
+        self.budget = (1 << cap) - 1
+        self.level = [(-1, 0, 0)]
+        self.tight: list[list[tuple[int, int, int]]] = []
+        self.refusal: str | None = None
+
+    def tight_at(self, size: int) -> list[tuple[int, int, int]]:
+        """The nodes of ``size`` members whose target is as wide, in order,
+        once every size below is listed."""
+        while len(self.tight) < size:
+            if self.refusal is not None:
+                raise SearchBoundExceededError(self.refusal)
+            self._grow(len(self.tight) + 1)
+        return self.tight[size - 1]
+
+    def _grow(self, size: int) -> None:
+        end = size + len(self.indexed) - 1
+        grown, tight = [], []
+        for start, source, target in self.level:
+            for i, bit, reach in self.indexed[start + 1 : end + 1 - target.bit_count()]:
+                y = target | reach
+                width = y.bit_count()
+                if width + i <= end:
+                    grown.append((i, source | bit, y))
+                    if width == size:
+                        tight.append(grown[-1])
+            if len(grown) > self.budget:
+                self.level = []
+                self.refusal = (
+                    f"sources of {len(self.indexed)} candidate vertices pass the "
+                    f"budget of 2**{self.cap} - 1 subsets at size {size}"
+                )
+                raise SearchBoundExceededError(self.refusal)
+        self.budget -= len(grown)
+        self.level = grown if size < self.limit else []
+        self.tight.append(tight)
+
+
+@lru_cache(maxsize=1 << 7)
+def _listing(candidates: tuple[tuple[int, int], ...], limit: int, cap: int) -> _Listing:
+    """The listing shared by the walks over ``candidates`` up to ``limit``
+    members under a budget of ``2**cap - 1`` subsets.  Every caller gets the
+    same object, which grows as any of them reads a new size and holds no
+    state of one walk.  The stages an edge-operation search reaches from
+    one stuck set by recoloring start from the same candidates, so a search
+    over thousands of stages reads few distinct listings."""
+    return _Listing(candidates, limit, cap)
+
+
 def _forces_from(
     g: ColoredDigraph,
     black: int,
-    candidates: list[tuple[int, int]],
-    limit: int,
+    listing: _Listing,
     dead: Container[int],
     changed: int,
 ) -> Iterator[Force]:
-    """The forces whose sources are subsets of ``candidates`` of at most
-    ``limit`` members, in the order :func:`iter_forces` documents.
+    """The forces whose sources are the subsets ``listing`` lists, in the
+    order :func:`iter_forces` documents.
 
     The walk goes one source size at a time, and a size's subsets are
-    listed only once every force of the sizes below has been asked for.
-    Each node of a level is a subset, as (index of its last member, source,
-    target), grown from the previous level by a later candidate, so a level
-    is in lexicographic order.  Adding members only grows the white target,
-    so a subset is dropped once its target is wider than any source it can
-    still reach.  A slice is tested when its force is asked for, unless
-    ``dead`` or ``changed`` skips it as :func:`iter_forces` says.  The
-    subsets listed are counted as each parent node grows, and one more than
-    ``2**MAX_SOURCE_CAP - 1`` raises :class:`SearchBoundExceededError`.
+    listed only once every force of the sizes below has been asked for.  A
+    slice is tested when its force is asked for, unless ``dead``,
+    ``changed`` or a singular tight source inside it skips it as
+    :func:`iter_forces` says.
 
-    The skips leave the walk and its count alone, so the budget is passed
-    at the same subset with or without them.  A dead child's slice wider
-    than ``ENUMERATION_CAP`` is still passed to ``slice_signature`` for the
-    :class:`EnumerationCapError` it raises; a source ``changed`` skips has
-    the slice it had where it was tested without error.
+    The skips leave the listing and its count alone, so the budget is
+    passed at the same subset with or without them.  A dead child's slice
+    wider than ``ENUMERATION_CAP`` is still passed to ``slice_signature``
+    for the :class:`EnumerationCapError` it raises; a source ``changed``
+    skips has the slice it had where it was tested without error.
+
+    The tight sources known not to force are kept in ``singular``, listed
+    under their lowest member, and ``lows`` holds those members as bits.
+    The test for a source that holds one reads only the lists of its own
+    members, so it costs something per tight source and nothing per listed
+    subset, and it is made only for a source that would be tested.  A
+    source skipped for holding one is not kept, as any source that contains
+    it contains what it holds, and neither is one of ``ENUMERATION_CAP``
+    members, as no source the skip applies to is wider.
     """
-    budget = (1 << MAX_SOURCE_CAP) - 1
     found = False
-    last = len(candidates) - 1
-    level = [(-1, 0, 0)]
-    for size in range(1, limit + 1):
-        grown = []
-        for start, source, target in level:
-            for i in range(start + 1, last + 1):
-                bit, reach = candidates[i]
-                y = target | reach
-                if y.bit_count() <= min(limit, size + last - i):
-                    grown.append((i, source | bit, y))
-            if len(grown) > budget:
-                raise SearchBoundExceededError(
-                    f"sources of {len(candidates)} candidate vertices pass the "
-                    f"budget of 2**{MAX_SOURCE_CAP} - 1 subsets at size {size}"
-                )
-        budget -= len(grown)
-        level = grown
-        for _, source, target in level:
-            if target.bit_count() != size or not source & changed:
-                continue
-            if found and size <= ENUMERATION_CAP and black | target in dead:
-                continue
-            signature = slice_signature(slice_key(g, source, target))
-            if signature is not None:
-                found = True
-                yield Force(source=source, target=target, class_signature=signature)
+    singular: dict[int, list[int]] = {}
+    lows = 0
+    for size in range(1, listing.limit + 1):
+        for _, source, target in listing.tight_at(size):
+            if source & changed:
+                if size <= ENUMERATION_CAP:
+                    if source & lows and _holds_any(source, lows, singular):
+                        continue
+                    if found and black | target in dead:
+                        continue
+                signature = slice_signature(slice_key(g, source, target))
+                if signature is not None:
+                    found = True
+                    yield Force(source=source, target=target, class_signature=signature)
+                    continue
+            if size < ENUMERATION_CAP:
+                low = source & -source
+                singular.setdefault(low, []).append(source)
+                lows |= low
+
+
+def _holds_any(source: int, lows: int, singular: dict[int, list[int]]) -> bool:
+    """Whether ``source`` contains one of the sets ``singular`` lists under
+    their lowest members, which ``lows`` has as bits."""
+    members = source & lows
+    while members:
+        low = members & -members
+        for inner in singular.get(low, ()):
+            if not inner & ~source:
+                return True
+        members ^= low
+    return False
 
 
 def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:

@@ -147,6 +147,22 @@ class ColoredDigraph:
             if len(set(leaders)) != len(leaders) or any(not 0 <= v < self.n for v in leaders):
                 raise BadLeaderError(f"bad leader set {tuple(v + 1 for v in leaders)}")
 
+    @classmethod
+    def unchecked(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int, int], ...],
+        colors: tuple[str, ...],
+        leaders: tuple[int, ...] | None,
+    ) -> ColoredDigraph:
+        """A graph from fields already in the form ``__post_init__`` checks
+        and leaves (edges sorted tuples, every color used, names distinct,
+        leaders sorted), built without checking them again."""
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("edges", edges), ("colors", colors), ("leaders", leaders)):
+            object.__setattr__(g, name, value)
+        return g
+
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
         masks = [0] * self.n

@@ -139,14 +139,26 @@ def scale_graph(n: int, i: int) -> ColoredDigraph:
     ``random_colored`` draws it: from ``random.Random(f"scale:{n}:{i}")``,
     edge probability 4.5 / n, up to 1 + i % 3 colors and a random half of
     the vertices as leaders."""
-    rng = random.Random(f"scale:{n}:{i}")
-    k = 1 + i % 3
+    return _half_led_graph(random.Random(f"scale:{n}:{i}"), n, 4.5 / n, 1 + i % 3)
+
+
+def dense_graph(d: float, i: int) -> ColoredDigraph:
+    """Graph ``i`` of the dense62 family: drawn as :func:`scale_graph` draws,
+    with n = 62 and edge probability d / 62, from
+    ``random.Random(f"dense:62:{d}:{i}")`` (``d`` a float, so the seed
+    reads ``dense:62:3.0:0``)."""
+    return _half_led_graph(random.Random(f"dense:62:{d}:{i}"), 62, d / 62, 1 + i % 3)
+
+
+def _half_led_graph(rng: random.Random, n: int, p: float, k: int) -> ColoredDigraph:
+    """Each arc with probability ``p`` and one of ``k`` colors, redrawn until
+    there is an arc, then a random half of the vertices as leaders."""
     while True:
         edges = [
             (t, h, rng.randrange(k))
             for t in range(n)
             for h in range(n)
-            if t != h and rng.random() < 4.5 / n
+            if t != h and rng.random() < p
         ]
         if edges:
             return _trimmed(n, edges, tuple(sorted(rng.sample(range(n), n // 2))))

@@ -253,6 +253,33 @@ class TestUsage:
         assert "error: argument --budget:" in capsys.readouterr().err
         assert run_cli(capsys, "check", path, "--json") == plain
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--x", "a"), "--x: 'a' is not a vertex label"),
+            (("--x", "1", "--coloring", "1,2.5"), "--coloring: '2.5' is not a vertex label"),
+        ],
+        ids=["x", "coloring"],
+    )
+    def test_bad_label_names_flag_and_token(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "bipartite", str(fig_path("fig3")), *flags)
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("level", ["basic_format", "nonsense", "Warning", ""])
+    def test_log_level_not_a_level_falls_back(self, level):
+        # logging.BASIC_FORMAT is a string attribute, not a level; run in a
+        # new interpreter, where basicConfig has no handler yet and reads it
+        src = str(Path(colored_ssc.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "colored_ssc", "check", str(fig_path("fig5")), "--json"],
+            env={**os.environ, "PYTHONPATH": src, "COLORED_SSC_LOG": level},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert json.loads(done.stdout)["verdict"] == "CONTROLLABLE"
+
     @pytest.mark.parametrize("argv", [["--version"], ["check", "--help"]])
     def test_help_and_version_exit_ok(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

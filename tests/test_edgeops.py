@@ -7,6 +7,7 @@ import pytest
 
 from colored_ssc import edgeops, forcing
 from colored_ssc.analysis import analyze, eeo_to_jsonable
+from colored_ssc.bipartite import ENUMERATION_CAP
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
 from colored_ssc.edgeops import (
     ColorMismatchError,
@@ -28,7 +29,7 @@ from colored_ssc.edgeops import (
     stage_key,
 )
 from colored_ssc.forcing import derived_set_greedy, is_zero_forcing_set
-from colored_ssc.graph import ColoredDigraph, validate, vset
+from colored_ssc.graph import ColoredDigraph, iter_vset, validate, vset
 from colored_ssc.oracle import (
     Realization,
     sample_realization,
@@ -179,6 +180,45 @@ class TestFindEdgeOps:
                 assert {(t, h) for t, h, _ in derived.edges} <= {
                     (t, h) for t, h, _ in g.edges
                 }
+
+
+    def test_matches_per_edge_reference(self):
+        # the reference compares fans head by head through edge_color
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            g = random_digraph(rng, n_max=9, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            assert find_edge_ops(g, black) == per_edge_ops(g, black)
+
+    def test_stage_graph_passes_validation(self):
+        # a stage graph is built without the checks; building it again with
+        # them changes nothing
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            g = random_digraph(rng)
+            black = int(rng.integers(1, g.full_mask + 1))
+            for op in find_edge_ops(g, black):
+                d = apply_op(g, op)
+                checked = ColoredDigraph(n=d.n, edges=d.edges, colors=d.colors, leaders=d.leaders)
+                assert d == checked
+
+
+def per_edge_ops(g: ColoredDigraph, black: int) -> list:
+    """The operations at ``black``, found by comparing each head's colors:
+    removals by (u, v), then recolorings by (u, new_color)."""
+    members = list(iter_vset(black))
+    fans = {u: g.out_masks[u] & ~black for u in members}
+    ops: list = []
+    for u in members:
+        for v in members:
+            if fans[u] and u != v and not fans[u] & ~fans[v]:
+                if all(g.edge_color[(u, k)] == g.edge_color[(v, k)] for k in iter_vset(fans[u])):
+                    ops.append(RemoveEdges(u=u, v=v, context=black))
+    for u in members:
+        colors = {g.edge_color[(u, k)] for k in iter_vset(fans[u])}
+        if len(colors) == 1:
+            ops += [TurnColor(u, c, black) for c in range(len(g.colors)) if c not in colors]
+    return ops
 
 
 class TestEeoDerivation:
@@ -433,6 +473,54 @@ class TestSliceSkips:
             stage.clear()
             eeo_derived_set(g, black, budget=budget)
         assert seen["after a force"] > 100 and seen["at a stage root"] > 30
+
+
+    def test_no_source_over_singular_tight_source_tested(self, monkeypatch):
+        # a tight source inside a tight source makes its slice block
+        # triangular, so once one is tested singular at a black set, no
+        # source of at most ENUMERATION_CAP members containing it is tested
+        iter_forces, slice_key = forcing.iter_forces, forcing.slice_key
+        signature = forcing.slice_signature
+        drawing: list[list[int]] = []  # the singular sources found, per draw
+        tested: list[int] = []  # the source whose slice is being tested
+        singular_found = [0]
+
+        def spy_iter(g, black, *args):
+            singular: list[int] = []
+            forces = iter_forces(g, black, *args)
+
+            def drawn():
+                while True:
+                    drawing.append(singular)
+                    try:
+                        force = next(forces, None)
+                    finally:
+                        drawing.pop()
+                    if force is None:
+                        return
+                    yield force
+
+            return drawn()
+
+        def spy_key(g, source, target):
+            if source.bit_count() <= ENUMERATION_CAP:
+                assert not [t for t in drawing[-1] if t != source and not t & ~source]
+            tested.append(source)
+            return slice_key(g, source, target)
+
+        def spy_signature(key):
+            answer = signature(key)
+            if answer is None:
+                drawing[-1].append(tested[-1])
+                singular_found[0] += 1
+            return answer
+
+        monkeypatch.setattr(forcing, "iter_forces", spy_iter)
+        monkeypatch.setattr(forcing, "slice_key", spy_key)
+        monkeypatch.setattr(forcing, "slice_signature", spy_signature)
+        for g, black, budget in self.searches():
+            eeo_derived_set(g, black, budget=budget)
+        assert singular_found[0] > 100
 
 
 class TestAnalyze:

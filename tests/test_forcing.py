@@ -273,6 +273,48 @@ class TestIterForces:
         with pytest.raises(EnumerationCapError):
             next(forces)
 
+    def test_source_over_singular_tight_source_not_tested(self, monkeypatch):
+        # T = {1, 2} feeds {4, 5} all in color c1, so det T = c1^2 - c1^2 = 0;
+        # X = T + {3} feeds {4, 5, 6} and is tight, and its slice is block
+        # triangular over T's, so X is singular and not tested
+        edges = ((0, 3, 0), (0, 4, 0), (1, 3, 0), (1, 4, 0), (2, 5, 0), (2, 3, 0))
+        g, black = ColoredDigraph(n=6, edges=edges, colors=("c1",)), labels(1, 2, 3)
+        want = all_subsets_forces(g, black)
+        tested = []
+        original = forcing.slice_key
+
+        def spy(graph, source, target):
+            tested.append(source)
+            return original(graph, source, target)
+
+        monkeypatch.setattr(forcing, "slice_key", spy)
+        assert find_forces(g, black) == want == []
+        assert tested == [labels(1, 2)]
+
+    def test_walks_share_one_listing(self, monkeypatch):
+        # two walks over the same candidates, drawn in turn, read one
+        # listing: each size is listed once, and each walk yields every force
+        grown = []
+        original = forcing._Listing._grow
+
+        def counting(listing, size):
+            grown.append(size)
+            return original(listing, size)
+
+        monkeypatch.setattr(forcing._Listing, "_grow", counting)
+        forcing._listing.cache_clear()
+        g, black = _private_targets(5, n=10), 0b11111
+        drawn = [f for pair in zip(iter_forces(g, black), iter_forces(g, black)) for f in pair]
+        assert drawn[::2] == drawn[1::2] == all_subsets_forces(g, black)
+        assert grown == [1, 2, 3, 4, 5]
+
+    def test_refusal_repeats_for_every_walk(self):
+        # the shared listing keeps its refusal: a later walk over the same
+        # candidates yields the same forces and refuses at the same size
+        g, black = _private_targets(13), (1 << 13) - 1
+        first, second = _drawn(g, black), _drawn(g, black)
+        assert first == second and first[1] and len(first[0]) == 4095
+
     def test_search_tests_fewer_slices(self, monkeypatch):
         g = load_fig("fig7d")  # a zero forcing set with several forces per step
         calls = _count_slice_tests(monkeypatch)

@@ -11,7 +11,9 @@ digest of ``oracle --json`` over the n = 30-62 scale family pins the
 lockstep batches at the target scale, which the small graphs of the sweep
 never stack past a few rows; a digest of ``check --json`` over the same
 graphs pins the certificates and the exit-3 refusals of the force search
-at the target scale.
+at the target scale, and one over graphs 0-7 of each density of the
+dense62 family pins the refusals of denser 62-vertex graphs, where most
+black sets pass the source budget.
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -36,7 +38,7 @@ from colored_ssc.cli import main
 from colored_ssc.corpus import GRAPH_IDS, path as fig_path
 from colored_ssc.graph import ColoredDigraph, serialize
 
-from conftest import random_digraph, scale_graph
+from conftest import dense_graph, random_digraph, scale_graph
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 COMMANDS = {
@@ -60,6 +62,8 @@ SCALE_SWEEPS = {
     "scale check --json": ("check", "--json"),
 }
 SCALE_SIZES, SCALE_GRAPHS = (30, 40, 50, 62), 12
+DENSE_SWEEP = "dense check --json"
+DENSE_DEGREES, DENSE_GRAPHS = (3.0, 6.0, 9.0), 8
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -105,13 +109,20 @@ def scale_sha256(sweep: str) -> str:
     return _digest(graphs, SCALE_SWEEPS[sweep])
 
 
+def dense_sha256() -> str:
+    """``check --json`` digested over graphs 0-7 of each density of the
+    dense62 family."""
+    graphs = (dense_graph(d, i) for d in DENSE_DEGREES for i in range(DENSE_GRAPHS))
+    return _digest(graphs, ("check", "--json"))
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
 def test_golden_covers_corpus(golden):
-    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, *SCALE_SWEEPS])
+    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, *SCALE_SWEEPS, DENSE_SWEEP])
     assert all(sorted(golden[g]) == sorted(COMMANDS) for g in GRAPH_IDS)
 
 
@@ -160,6 +171,11 @@ def test_scale_check_digest(golden):
     assert scale_sha256(sweep) == golden[sweep]
 
 
+def test_dense_check_digest(golden):
+    # 6 CONTROLLABLE and 18 refused with exit 3
+    assert dense_sha256() == golden[DENSE_SWEEP]
+
+
 if __name__ == "__main__":
     table: dict = {}
     for g in GRAPH_IDS:
@@ -172,5 +188,6 @@ if __name__ == "__main__":
         table[sweep] = sweep_sha256(sweep)
     for sweep in SCALE_SWEEPS:
         table[sweep] = scale_sha256(sweep)
+    table[DENSE_SWEEP] = dense_sha256()
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
