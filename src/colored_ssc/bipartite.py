@@ -2,11 +2,10 @@
 
 Everything here is exact integer work.  The production route is the
 symbolic determinant of the pattern matrix, kept as an integer-coefficient
-monomial map: rows and columns with one entry are peeled off as factors,
-and subset dynamic programming expands the core that is left.  A pattern is
-nonsingular iff that polynomial is a single monomial (one that survives
-alone cannot vanish at nonzero values, while two or more always admit a
-nonzero complex root), and its coefficient is the certifying class
+monomial map and expanded by subset dynamic programming over the rows.  A
+pattern is nonsingular iff that polynomial is a single monomial (one that
+survives alone cannot vanish at nonzero values, while two or more always
+admit a nonzero complex root), and its coefficient is the certifying class
 signature.  Perfect matchings with permutation signs, grouped into
 equal-spectrum classes, are the independent route to the same facts: each
 class is one monomial and its signature is that monomial's coefficient.
@@ -38,6 +37,9 @@ class EnumerationCapError(RuntimeError):
 
 
 ENUMERATION_CAP = 12
+# Perfect matchings one listing may hold: a complete 8 x 8 slice has 8! =
+# 40,320, a complete 9 x 9 one nine times as many.
+MATCHING_CAP = 1 << 16
 
 # One row per X vertex, in order: flat (column, color) pairs in column order,
 # colors renumbered by first appearance.
@@ -172,7 +174,8 @@ def enumerate_matchings(b: ColoredBipartite) -> tuple[Matching, ...]:
 
     Depth-first over the X side in index order; a cheap Hall check (the
     union of remaining candidate y's must be large enough) prunes dead
-    branches early.
+    branches early.  The listing is refused with :class:`EnumerationCapError`
+    once it would pass ``MATCHING_CAP`` matchings.
     """
     t = _square_size(b, "matching enumeration")
     adjacency = b.adjacency()
@@ -189,6 +192,10 @@ def enumerate_matchings(b: ColoredBipartite) -> tuple[Matching, ...]:
 
     def extend(i: int, avail: int) -> None:
         if i == t:
+            if len(out) == MATCHING_CAP:
+                raise EnumerationCapError(
+                    f"matching enumeration capped at {MATCHING_CAP} perfect matchings"
+                )
             spectrum = [0] * n_colors
             for xi, yi in enumerate(assignment):
                 spectrum[colors[(xi, yi)]] += 1
@@ -234,68 +241,18 @@ def _det_terms(rows: Sequence[Sequence[int]]) -> tuple[int, dict[int, int]]:
     exponent vector packed ``width`` bits per color, mapped to its nonzero
     coefficient.
 
-    First peels: a row or column with one entry c expands to a factor
-    (-1)^(i+j) * c, i and j the entry's current positions, times the minor;
-    an empty row or column makes the determinant zero.  Only the lines that
-    crossed a peeled entry are looked at again.  The core left over runs a
-    subset dynamic program over its rows in index order, starting from the
-    peeled factor: each state maps the set of core columns used so far to
-    the polynomial summed over all partial assignments that use them.
-    Assigning a row to column y passes over the columns above y that
-    earlier rows took, one inversion each, so the sign flips when their
-    count is odd.  Zero coefficients are dropped at every layer.  That is
-    O(2^k * k) polynomial steps for a core of side k, where a row expansion
-    takes k!.
+    Subset dynamic programming over the rows in index order: each state
+    maps the set of columns used so far to the polynomial summed over all
+    partial assignments that use them.  Assigning a row to column y passes
+    over the columns above y that earlier rows took, one inversion each, so
+    the sign flips when their count is odd.  Zero coefficients are dropped
+    at every layer, and an empty layer makes the determinant zero.  That is
+    O(2^t * t) polynomial steps for side t, where a row expansion takes t!.
     """
-    t = len(rows)
-    width = t.bit_length()  # the degree is t, so no exponent exceeds t
-    row_cols = [0] * t
-    col_rows = [0] * t
-    for i, row in enumerate(rows):
-        for j in row[::2]:
-            row_cols[i] |= 1 << j
-            col_rows[j] |= 1 << i
-    live_rows = live_cols = pending_rows = pending_cols = (1 << t) - 1
-    sign, factor = 1, 0
-    while pending_rows or pending_cols:
-        if pending_rows:
-            low = pending_rows & -pending_rows
-            pending_rows ^= low
-            i = low.bit_length() - 1
-            line = row_cols[i] & live_cols
-            if line & (line - 1):
-                continue
-            j = line.bit_length() - 1
-        else:
-            low = pending_cols & -pending_cols
-            pending_cols ^= low
-            j = low.bit_length() - 1
-            line = col_rows[j] & live_rows
-            if line & (line - 1):
-                continue
-            i = line.bit_length() - 1
-        if not line:
-            return width, {}
-        above = (live_rows & ((1 << i) - 1)).bit_count() + (live_cols & ((1 << j) - 1)).bit_count()
-        if above & 1:
-            sign = -sign
-        # the row's pairs are in column order, so j's pair is its rank there
-        factor += 1 << width * rows[i][2 * (row_cols[i] & ((1 << j) - 1)).bit_count() + 1]
-        live_rows ^= 1 << i
-        live_cols ^= 1 << j
-        pending_rows = (pending_rows | col_rows[j]) & live_rows
-        pending_cols = (pending_cols | row_cols[i]) & live_cols
-    position = {j: k for k, j in enumerate(j for j in range(t) if live_cols >> j & 1)}
-    layer: dict[int, dict[int, int]] = {0: {factor: sign}}
-    for i in range(t):
-        if not live_rows >> i & 1:
-            continue
-        row = rows[i]
-        edges = [
-            (position[j], 1 << width * c)
-            for j, c in zip(row[::2], row[1::2])
-            if live_cols >> j & 1
-        ]
+    width = len(rows).bit_length()  # the degree is t, so no exponent exceeds t
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    for row in rows:
+        edges = [(j, 1 << width * c) for j, c in zip(row[::2], row[1::2])]
         nxt: dict[int, dict[int, int]] = {}
         for used, poly in layer.items():
             for yi, step in edges:

@@ -7,7 +7,8 @@ UNDECIDED.  ``oracle`` prints the balancing test's verdict over sampled
 realizations.  Every command exits 1 for input and usage errors, out-of-range
 options included; 3 when the search meets a cap (one force-source enumeration
 lists more than ``2**forcing.MAX_SOURCE_CAP - 1`` subsets, or a slice side
-passes ``bipartite.ENUMERATION_CAP``); a soundness violation (positive
+passes ``bipartite.ENUMERATION_CAP``, or ``bipartite`` lists more than
+``bipartite.MATCHING_CAP`` perfect matchings); a soundness violation (positive
 certificate contradicted by the oracle) aborts with exit code 70.  Set
 COLORED_SSC_LOG=debug for trace-level logging.
 """
@@ -179,7 +180,13 @@ def _cmd_bipartite(args) -> int:
     source = _parse_labels(args.x, g.n, "--x")
     if not source:
         raise ValueError("--x names no vertex")
-    black = _parse_labels(args.coloring, g.n, "--coloring") if args.coloring else source
+    black = source
+    if args.coloring is not None:
+        black = _parse_labels(args.coloring, g.n, "--coloring")
+        if not black:
+            raise ValueError("--coloring names no vertex")
+        if source & ~black:
+            raise ValueError("--coloring must contain every --x vertex")
     b = induced_bipartite(g, source, black)
     matchings = enumerate_matchings(b)
     classes = equivalence_classes(matchings)
@@ -241,6 +248,8 @@ def _cmd_forcing(args) -> int:
     if trace is not None:
         for force in trace.steps:
             lines.append(f"  force {force.describe()}  (signature {force.class_signature})")
+    if args.greedy and trace.truncated:
+        lines.append("warning: a search cap stopped the derivation; result may be improvable")
     _emit(payload, args.json, lines)
     return EXIT_OK
 

@@ -417,10 +417,12 @@ def to_dot(g: ColoredDigraph) -> str:
     for v in range(g.n):
         attrs = ' [style=filled fillcolor="gray80"]' if leader_mask >> v & 1 else ""
         lines.append(f"  {v + 1}{attrs};")
+    # a DOT string ends at an unescaped quote, and a backslash escapes
+    labels = [c.replace("\\", "\\\\").replace('"', '\\"') for c in g.colors]
     for tail, head, color in g.edges:
         hexcolor = _DOT_PALETTE[color % len(_DOT_PALETTE)]
         lines.append(
-            f'  {tail + 1} -> {head + 1} [label="{g.colors[color]}" color="{hexcolor}"];'
+            f'  {tail + 1} -> {head + 1} [label="{labels[color]}" color="{hexcolor}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

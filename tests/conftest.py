@@ -1,12 +1,12 @@
 """Shared helpers: label conversions, corpus access, random generators,
 and the reference routes the production code is checked against (all-subsets
 force enumeration, the eager force enumeration that tests every slice,
-matching classes, the determinant without peeling, the classic forcing rule,
-the edge-operation search memoized on exact states, numeric realizations of
-slice patterns and the determinant's value there, the weighted adjacency of
-one realization, the Kalman rank test, zero extension solved from scratch
-each round or run one realization at a time, the per-trial sampled verdict,
-and a witness diagonal for a leader set that is not balancing)."""
+matching classes, the classic forcing rule, the edge-operation search
+memoized on exact states, numeric realizations of slice patterns and the
+determinant's value there, the weighted adjacency of one realization, the
+Kalman rank test, zero extension solved from scratch each round or run one
+realization at a time, the per-trial sampled verdict, and a witness diagonal
+for a leader set that is not balancing)."""
 
 from __future__ import annotations
 
@@ -295,46 +295,6 @@ def class_term_map(b: ColoredBipartite) -> dict[tuple[int, ...], int]:
         for c in equivalence_classes(enumerate_matchings(b))
         if c.signature
     }
-
-
-def reference_symbolic_det(b: ColoredBipartite) -> DetPolynomial:
-    """The determinant by subset dynamic programming over every row, with
-    no peeling: the route the production determinant is checked against.
-
-    Each state maps the set of Y columns used so far to the polynomial
-    summed over all partial assignments that use them; assigning row x to
-    column y flips the sign once per column above y taken earlier.
-    """
-    t = len(b.x_vertices)
-    assert t == len(b.y_vertices)
-    n_colors = len(b.colors)
-    width = t.bit_length()
-    row_edges: list[list[tuple[int, int]]] = [[] for _ in range(t)]
-    for xi, yi, c in b.edges:
-        row_edges[xi].append((yi, 1 << width * c))
-    layer: dict[int, dict[int, int]] = {0: {0: 1}}
-    for edges in row_edges:
-        nxt: dict[int, dict[int, int]] = {}
-        for used, poly in layer.items():
-            for yi, step in edges:
-                if used >> yi & 1:
-                    continue
-                sign = -1 if (used >> yi).bit_count() & 1 else 1
-                acc = nxt.setdefault(used | 1 << yi, {})
-                for key, coeff in poly.items():
-                    acc[key + step] = acc.get(key + step, 0) + sign * coeff
-        layer = {}
-        for used, poly in nxt.items():
-            poly = {key: coeff for key, coeff in poly.items() if coeff}
-            if poly:
-                layer[used] = poly
-    field = (1 << width) - 1
-    terms = sorted(
-        (tuple(key >> width * c & field for c in range(n_colors)), coeff)
-        for poly in layer.values()
-        for key, coeff in poly.items()
-    )
-    return DetPolynomial(n_colors=n_colors, terms=tuple(terms))
 
 
 def reference_eeo_derived_set(

@@ -258,8 +258,12 @@ class TestUsage:
         [
             (("--x", "a"), "--x: 'a' is not a vertex label"),
             (("--x", "1", "--coloring", "1,2.5"), "--coloring: '2.5' is not a vertex label"),
+            # an empty --coloring is refused, not read as absent
+            (("--x", "1", "--coloring", ""), "--coloring names no vertex"),
+            (("--x", "1", "--coloring", ","), "--coloring names no vertex"),
+            (("--x", "1,2", "--coloring", "1,3"), "--coloring must contain every --x vertex"),
         ],
-        ids=["x", "coloring"],
+        ids=["x", "coloring", "coloring-empty", "coloring-comma", "coloring-misses-x"],
     )
     def test_bad_label_names_flag_and_token(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "bipartite", str(fig_path("fig3")), *flags)
@@ -336,6 +340,29 @@ class TestSearchCap:
         code, out, _ = run_cli(capsys, "forcing", wide, "--greedy", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["truncated"] is True
+
+    def test_greedy_text_warns_of_truncation(self, capsys, wide):
+        code, out, _ = run_cli(capsys, "forcing", wide, "--greedy")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].startswith("warning: a search cap stopped the derivation")
+
+    def test_bipartite_refuses_too_many_matchings(self, capsys, tmp_path):
+        # a complete two-color 9 x 9 slice has 9! perfect matchings, past
+        # bipartite.MATCHING_CAP: refused once the listing passes the cap
+        t = 9
+        doc = {
+            "n": 2 * t,
+            "colors": ["c1", "c2"],
+            "edges": [[x, t + y, 1 + (x + y) % 2] for x in range(1, t + 1) for y in range(1, t + 1)],
+            "leaders": list(range(1, t + 1)),
+        }
+        target = tmp_path / "complete9.json"
+        target.write_text(json.dumps(doc))
+        source = ",".join(map(str, range(1, t + 1)))
+        code, out, err = run_cli(capsys, "bipartite", str(target), "--x", source, "--json")
+        assert code == EXIT_SEARCH_CAP
+        assert out == ""
+        assert err == "error: matching enumeration capped at 65536 perfect matchings\n"
 
     @pytest.mark.parametrize(
         ("i", "cause"),

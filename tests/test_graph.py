@@ -295,6 +295,10 @@ class TestDot:
         for name in ("c1", "c2", "c3", "c4", "c5"):
             assert f'label="{name}"' in dot
 
+    def test_label_quote_and_backslash_escaped(self):
+        g = ColoredDigraph(n=2, edges=((0, 1, 0),), colors=('a"b\\',))
+        assert '  1 -> 2 [label="a\\"b\\\\" color=' in to_dot(g)
+
 
 def test_vset_helpers_round_trip():
     mask = labels(1, 5, 9)
