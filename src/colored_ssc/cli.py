@@ -35,7 +35,6 @@ from .bipartite import (
     EnumerationCapError,
     enumerate_matchings,
     equivalence_classes,
-    pattern_nonsingular,
     symbolic_det,
 )
 from .edgeops import eeo_derived_set
@@ -190,8 +189,8 @@ def _cmd_bipartite(args) -> int:
     b = induced_bipartite(g, source, black)
     matchings = enumerate_matchings(b)
     classes = equivalence_classes(matchings)
-    verdict = pattern_nonsingular(b)
     det = symbolic_det(b)
+    verdict = len(det.terms) == 1
     payload = {
         "x": [v + 1 for v in b.x_vertices],
         "y": [v + 1 for v in b.y_vertices],

@@ -89,8 +89,8 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
 def iter_forces(
     g: ColoredDigraph, black: int, dead: Container[int] = frozenset(), changed: int = -1
 ) -> Iterator[Force]:
-    """The forces available at ``black``, smallest source first, each slice
-    tested only when the next force is asked for.
+    """The irreducible forces available at ``black``, smallest source first,
+    each slice tested only when the next force is asked for.
 
     Sources are ordered by increasing size, lexicographically within a
     size, so the order is reproducible.  Only sources that can force are
@@ -99,6 +99,19 @@ def iter_forces(
     white set.  Once the walk has listed more than ``2**MAX_SOURCE_CAP - 1``
     of them, drawing the next force raises :class:`SearchBoundExceededError`.
 
+    Call a source *tight* when its target is as wide as it is; only tight
+    sources have a slice to test.  A tight source of at most
+    ``ENUMERATION_CAP`` members that strictly contains a smaller tight
+    source T is reducible and not yielded: the rows of T in its slice meet
+    only T's target, so the slice is block triangular and ``det X = +-det T
+    * det(X - T -> target(X) - target(T))``.  A product of polynomials is a
+    single monomial only when both factors are, so X forces only when T
+    forces and X - T then forces at ``black | target(T)``, ending at X's
+    child.  Every force is a chain of irreducible ones, the first force
+    available is always irreducible, and a search that has exhausted T's
+    child has met X's.  A wider source is still yielded, so its slice
+    raises the :class:`EnumerationCapError` that every caller meets.
+
     Two arguments let a search skip slice tests whose answers it cannot
     use.  After the first force, a source whose child ``black | target`` is
     in ``dead`` is not tested: the search drops a force into a dead child,
@@ -106,19 +119,6 @@ def iter_forces(
     that meet ``changed`` are tested at all (every source by default); the
     caller vouches that no other source forces (see
     :func:`derivation_outcomes`).
-
-    A third skip needs no argument.  Call a source *tight* when its target is
-    as wide as it is; only tight sources have a slice to test.  When a tight
-    source T lies inside a tight source X, the rows of T in X's slice meet
-    only T's target, so the slice is block triangular and
-    ``det X = +-det T * det(X - T -> target(X) - target(T))``.  A product of
-    polynomials is a single monomial only when both factors are, so X does
-    not force when T does not.  So a source no wider than
-    ``ENUMERATION_CAP`` that strictly contains a tight source known not to
-    force at ``black`` (one tested singular, or one that ``changed``
-    skipped) is not tested.  A wider source is still tested, so its slice
-    raises the :class:`EnumerationCapError` that every caller meets
-    without the skip.
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
@@ -130,12 +130,14 @@ def iter_forces(
 
 
 def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
-    """All forces available at ``black``, in the order of :func:`iter_forces`."""
+    """The irreducible forces available at ``black``, in the order of
+    :func:`iter_forces`."""
     return list(iter_forces(g, black))
 
 
 class _Listing:
-    """The subsets one force-source walk lists, one size at a time.
+    """The subsets one force-source walk lists, one size at a time, and the
+    irreducible tight ones among them.
 
     A subset is grown from one of the size below by a later candidate, as a
     node (index of its last member, source, white target), so a size is in
@@ -148,9 +150,18 @@ class _Listing:
     grows, and one more than ``2**cap - 1`` raises
     :class:`SearchBoundExceededError`, again at each later request.
 
-    The listing depends only on the candidates, the limit and the cap, so
-    the walks over the same three share one (see :func:`_listing`), and each
-    size is listed once however many walks read it.
+    Of the tight nodes of a size, one of at most ``ENUMERATION_CAP``
+    members that contains a kept tight node of a smaller size is reducible
+    (see :func:`iter_forces`) and not kept; the subsets listed and their
+    count stay the same.  Kept nodes narrower than the cap are indexed in
+    ``kept`` under their lowest member, with those members as bits in
+    ``lows``, each size once the next size is asked for; the check for a
+    node reads only the lists of its own members.
+
+    The listing depends only on the candidates, the limit and the cap, not
+    on colors or slice tests, so the walks over the same three share one
+    (see :func:`_listing`), and each size is listed and filtered once
+    however many walks read it.
     """
 
     def __init__(self, candidates: tuple[tuple[int, int], ...], limit: int, cap: int) -> None:
@@ -159,11 +170,13 @@ class _Listing:
         self.budget = (1 << cap) - 1
         self.level = [(-1, 0, 0)]
         self.tight: list[list[tuple[int, int, int]]] = []
+        self.kept: dict[int, list[int]] = {}
+        self.lows = 0
         self.refusal: str | None = None
 
     def tight_at(self, size: int) -> list[tuple[int, int, int]]:
-        """The nodes of ``size`` members whose target is as wide, in order,
-        once every size below is listed."""
+        """The irreducible nodes of ``size`` members whose target is as
+        wide, in order, once every size below is listed."""
         while len(self.tight) < size:
             if self.refusal is not None:
                 raise SearchBoundExceededError(self.refusal)
@@ -171,6 +184,11 @@ class _Listing:
         return self.tight[size - 1]
 
     def _grow(self, size: int) -> None:
+        if 1 < size <= ENUMERATION_CAP:
+            for _, source, _ in self.tight[-1]:
+                low = source & -source
+                self.kept.setdefault(low, []).append(source)
+                self.lows |= low
         end = size + len(self.indexed) - 1
         grown, tight = [], []
         for start, source, target in self.level:
@@ -190,7 +208,21 @@ class _Listing:
                 raise SearchBoundExceededError(self.refusal)
         self.budget -= len(grown)
         self.level = grown if size < self.limit else []
+        lows = self.lows
+        if size <= ENUMERATION_CAP and lows:
+            tight = [node for node in tight if not node[1] & lows or self._irreducible(node[1])]
         self.tight.append(tight)
+
+    def _irreducible(self, source: int) -> bool:
+        """Whether ``source`` contains no kept node."""
+        members = source & self.lows
+        while members:
+            low = members & -members
+            for inner in self.kept.get(low, ()):
+                if not inner & ~source:
+                    return False
+            members ^= low
+        return True
 
 
 @lru_cache(maxsize=1 << 7)
@@ -211,63 +243,29 @@ def _forces_from(
     dead: Container[int],
     changed: int,
 ) -> Iterator[Force]:
-    """The forces whose sources are the subsets ``listing`` lists, in the
-    order :func:`iter_forces` documents.
+    """The forces whose sources are the irreducible tight subsets
+    ``listing`` lists, in the order :func:`iter_forces` documents.
 
     The walk goes one source size at a time, and a size's subsets are
     listed only once every force of the sizes below has been asked for.  A
-    slice is tested when its force is asked for, unless ``dead``,
-    ``changed`` or a singular tight source inside it skips it as
-    :func:`iter_forces` says.
-
-    The skips leave the listing and its count alone, so the budget is
-    passed at the same subset with or without them.  A dead child's slice
-    wider than ``ENUMERATION_CAP`` is still passed to ``slice_signature``
-    for the :class:`EnumerationCapError` it raises; a source ``changed``
-    skips has the slice it had where it was tested without error.
-
-    The tight sources known not to force are kept in ``singular``, listed
-    under their lowest member, and ``lows`` holds those members as bits.
-    The test for a source that holds one reads only the lists of its own
-    members, so it costs something per tight source and nothing per listed
-    subset, and it is made only for a source that would be tested.  A
-    source skipped for holding one is not kept, as any source that contains
-    it contains what it holds, and neither is one of ``ENUMERATION_CAP``
-    members, as no source the skip applies to is wider.
+    slice is tested when its force is asked for, unless ``changed`` or,
+    after the first force, ``dead`` skips it as :func:`iter_forces` says.
+    A dead child's slice wider than ``ENUMERATION_CAP`` is still passed to
+    ``slice_signature`` for the :class:`EnumerationCapError` it raises; a
+    source ``changed`` skips has the slice it had where it was tested
+    without error.
     """
     found = False
-    singular: dict[int, list[int]] = {}
-    lows = 0
     for size in range(1, listing.limit + 1):
         for _, source, target in listing.tight_at(size):
-            if source & changed:
-                if size <= ENUMERATION_CAP:
-                    if source & lows and _holds_any(source, lows, singular):
-                        continue
-                    if found and black | target in dead:
-                        continue
-                signature = slice_signature(slice_key(g, source, target))
-                if signature is not None:
-                    found = True
-                    yield Force(source=source, target=target, class_signature=signature)
-                    continue
-            if size < ENUMERATION_CAP:
-                low = source & -source
-                singular.setdefault(low, []).append(source)
-                lows |= low
-
-
-def _holds_any(source: int, lows: int, singular: dict[int, list[int]]) -> bool:
-    """Whether ``source`` contains one of the sets ``singular`` lists under
-    their lowest members, which ``lows`` has as bits."""
-    members = source & lows
-    while members:
-        low = members & -members
-        for inner in singular.get(low, ()):
-            if not inner & ~source:
-                return True
-        members ^= low
-    return False
+            if not source & changed:
+                continue
+            if found and size <= ENUMERATION_CAP and black | target in dead:
+                continue
+            signature = slice_signature(slice_key(g, source, target))
+            if signature is not None:
+                found = True
+                yield Force(source=source, target=target, class_signature=signature)
 
 
 def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:

@@ -1,6 +1,7 @@
 """Shared helpers: label conversions, corpus access, random generators,
 and the reference routes the production code is checked against (all-subsets
-force enumeration, the eager force enumeration that tests every slice,
+force enumeration and its irreducible forces, the backtracking and greedy
+derivations over it, the eager force enumeration that tests every slice,
 matching classes, the classic forcing rule, the edge-operation search
 memoized on exact states, numeric realizations of slice patterns and the
 determinant's value there, the weighted adjacency of one realization, the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import scipy.linalg
 
 from colored_ssc import forcing
 from colored_ssc.bipartite import (
+    ENUMERATION_CAP,
     ColoredBipartite,
     DetPolynomial,
     enumerate_matchings,
@@ -29,6 +31,7 @@ from colored_ssc.bipartite import (
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
 from colored_ssc.forcing import (
+    DerivationTrace,
     Force,
     SearchBoundExceededError,
     derivation_outcomes,
@@ -134,6 +137,16 @@ def random_digraph(
         return _trimmed(n, edges, leaders)
 
 
+SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
+
+
+def sweep_graphs() -> Iterator[ColoredDigraph]:
+    """The fixed-seed sweep of the golden digests: ``SWEEP_GRAPHS`` graphs
+    of ``random_digraph`` with n = 4-10 and edge probability 0.3."""
+    rng = np.random.default_rng(SWEEP_SEED)
+    return (random_digraph(rng, n_min=4, n_max=10, edge_prob=0.3) for _ in range(SWEEP_GRAPHS))
+
+
 def scale_graph(n: int, i: int) -> ColoredDigraph:
     """Graph ``i`` of the n = 30-62 scale family, drawn as the benchmark's
     ``random_colored`` draws it: from ``random.Random(f"scale:{n}:{i}")``,
@@ -148,6 +161,14 @@ def dense_graph(d: float, i: int) -> ColoredDigraph:
     ``random.Random(f"dense:62:{d}:{i}")`` (``d`` a float, so the seed
     reads ``dense:62:3.0:0``)."""
     return _half_led_graph(random.Random(f"dense:62:{d}:{i}"), 62, d / 62, 1 + i % 3)
+
+
+def mid_graph(n: int, i: int) -> ColoredDigraph:
+    """Graph ``i`` of the n = 17-20 mid family: drawn as the benchmark's
+    forcing-scale graphs are, with edge probability 0.25, up to 1 + i % 3
+    colors and a random half of the vertices as leaders, from
+    ``random.Random(f"mid:{n}:{i}")``."""
+    return _half_led_graph(random.Random(f"mid:{n}:{i}"), n, 0.25, 1 + i % 3)
 
 
 def _half_led_graph(rng: random.Random, n: int, p: float, k: int) -> ColoredDigraph:
@@ -209,6 +230,63 @@ def all_subsets_forces(
             if force is not None:
                 forces.append(force)
     return forces
+
+
+def reducible(g: ColoredDigraph, black: int, source: int) -> bool:
+    """Whether ``source`` is reducible at ``black``: no wider than
+    ``ENUMERATION_CAP``, with a nonempty proper subset whose white target is
+    as wide as it is."""
+    members = vset_members(source)
+    return len(members) <= ENUMERATION_CAP and any(
+        white_out_neighbors(g, vset(subset), black).bit_count() == size
+        for size in range(1, len(members))
+        for subset in combinations(members, size)
+    )
+
+
+def irreducible(g: ColoredDigraph, black: int, forces: list[Force]) -> list[Force]:
+    """The forces of ``forces`` whose source is not reducible at ``black``."""
+    return [f for f in forces if not reducible(g, black, f.source)]
+
+
+def reference_derivation_outcomes(
+    g: ColoredDigraph, black: int
+) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
+    """The backtracking search as a plain recursion over every force
+    :func:`all_subsets_forces` finds, in its order: the first trace that
+    reaches V, and each stuck set met with the first trace that reached it.
+    A black set all of whose children fail is memoized dead; no slice test
+    is skipped."""
+    start, full = black, g.full_mask
+    dead: set[int] = set()
+    stuck: list[DerivationTrace] = []
+
+    def dfs(current: int, steps: tuple[Force, ...]) -> DerivationTrace | None:
+        if current == full:
+            return DerivationTrace(start, steps, full)
+        forces = all_subsets_forces(g, current)
+        if not forces:
+            stuck.append(DerivationTrace(start, steps, current))
+        for force in forces:
+            child = current | force.target
+            if child not in dead:
+                witness = dfs(child, steps + (force,))
+                if witness is not None:
+                    return witness
+        dead.add(current)
+        return None
+
+    return dfs(black, ()), stuck
+
+
+def reference_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:
+    """The greedy derivation taking the first force of
+    :func:`all_subsets_forces` at each step."""
+    start, steps = black, []
+    while forces := all_subsets_forces(g, black):
+        steps.append(forces[0])
+        black |= forces[0].target
+    return DerivationTrace(start, tuple(steps), black)
 
 
 def eager_forces(g: ColoredDigraph, black: int) -> list[Force]:

@@ -7,7 +7,6 @@ import pytest
 
 from colored_ssc import edgeops, forcing
 from colored_ssc.analysis import analyze, eeo_to_jsonable
-from colored_ssc.bipartite import ENUMERATION_CAP
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
 from colored_ssc.edgeops import (
     ColorMismatchError,
@@ -41,6 +40,7 @@ from conftest import (
     labels,
     members1,
     random_digraph,
+    reducible,
     reference_eeo_derived_set,
     weighted_adjacency,
 )
@@ -477,21 +477,18 @@ class TestSliceSkips:
 
     def test_no_source_over_singular_tight_source_tested(self, monkeypatch):
         # a tight source inside a tight source makes its slice block
-        # triangular, so once one is tested singular at a black set, no
-        # source of at most ENUMERATION_CAP members containing it is tested
+        # triangular, so no source of at most ENUMERATION_CAP members that
+        # contains a smaller tight source, singular or not, is tested
         iter_forces, slice_key = forcing.iter_forces, forcing.slice_key
-        signature = forcing.slice_signature
-        drawing: list[list[int]] = []  # the singular sources found, per draw
-        tested: list[int] = []  # the source whose slice is being tested
-        singular_found = [0]
+        drawing: list[int] = []  # the black set of each draw
+        checked = [0]
 
         def spy_iter(g, black, *args):
-            singular: list[int] = []
             forces = iter_forces(g, black, *args)
 
             def drawn():
                 while True:
-                    drawing.append(singular)
+                    drawing.append(black)
                     try:
                         force = next(forces, None)
                     finally:
@@ -503,24 +500,15 @@ class TestSliceSkips:
             return drawn()
 
         def spy_key(g, source, target):
-            if source.bit_count() <= ENUMERATION_CAP:
-                assert not [t for t in drawing[-1] if t != source and not t & ~source]
-            tested.append(source)
+            assert not reducible(g, drawing[-1], source)
+            checked[0] += source.bit_count() > 1
             return slice_key(g, source, target)
-
-        def spy_signature(key):
-            answer = signature(key)
-            if answer is None:
-                drawing[-1].append(tested[-1])
-                singular_found[0] += 1
-            return answer
 
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        monkeypatch.setattr(forcing, "slice_signature", spy_signature)
         for g, black, budget in self.searches():
             eeo_derived_set(g, black, budget=budget)
-        assert singular_found[0] > 100
+        assert checked[0] > 100
 
 
 class TestAnalyze:

@@ -40,10 +40,14 @@ from conftest import (
     all_subsets_forces,
     classic_derived_set,
     eager_forces,
+    irreducible,
     labels,
     members1,
     random_digraph,
+    reference_derivation_outcomes,
+    reference_greedy,
     scale_graph,
+    sweep_graphs,
     weighted_adjacency,
 )
 
@@ -54,8 +58,8 @@ def _path(n: int) -> ColoredDigraph:
 
 def _private_targets(k: int, n: int = 62) -> ColoredDigraph:
     """Vertex v < k points at its own vertex k + v.  With black = {0..k-1},
-    every subset of the black set is a force, so the forces found are the
-    subsets looked at."""
+    every subset of the black set is listed and forces, and the k
+    singletons are its irreducible forces."""
     return ColoredDigraph(n=n, edges=tuple((v, k + v, 0) for v in range(k)), colors=("c1",))
 
 
@@ -69,6 +73,24 @@ def _drawn(g: ColoredDigraph, black: int) -> tuple[list[forcing.Force], bool]:
     except SearchBoundExceededError:
         return forces, True
     return forces, False
+
+
+def _listings(monkeypatch) -> list:
+    """Spy on the shared listings the walks read; returns them in call order."""
+    seen: list = []
+    original = forcing._listing
+
+    def spying(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(forcing, "_listing", spying)
+    return seen
+
+
+def _listed(listing) -> int:
+    """The subsets ``listing`` has listed and counted against its budget."""
+    return (1 << listing.cap) - 1 - listing.budget
 
 
 class TestIsColorPerfect:
@@ -115,15 +137,28 @@ class TestFindForces:
         sizes = [f.source.bit_count() for f in find_forces(g, labels(1, 2, 3, 4, 5))]
         assert sizes == sorted(sizes)
 
-    def test_bound_exceeded(self):
+    def test_bound_exceeded(self, monkeypatch):
         # 13 black vertices with private targets: sizes 1-6 list 4095
-        # subsets, all forces, and size 7 passes the budget of 2**12 - 1
+        # subsets, all forces but only the 13 singletons irreducible, and
+        # size 7 passes the budget of 2**12 - 1
+        listings = _listings(monkeypatch)
         g, black = _private_targets(13), (1 << 13) - 1
-        with pytest.raises(SearchBoundExceededError):
+        with pytest.raises(SearchBoundExceededError, match="at size 7"):
             find_forces(g, black)
         forces, refused = _drawn(g, black)
-        assert refused and len(forces) == 4095
-        assert forces[-1].source.bit_count() == 6
+        assert refused and [f.source for f in forces] == [1 << v for v in range(13)]
+        assert listings[0] is listings[1] and _listed(listings[0]) == 4095
+
+    def test_source_meeting_a_tight_source_still_forces(self):
+        # {1, 2} is tight and singular (both feed {5, 6} in one color); the
+        # triples holding it are reducible, but {1, 3, 4} and {2, 3, 4} only
+        # meet it, hold no tight subset, and have two matchings of equal
+        # sign and colors, so they force
+        edges = ((0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (2, 6), (3, 4), (3, 6))
+        g = ColoredDigraph(n=7, edges=tuple((t, h, 0) for t, h in edges), colors=("c1",))
+        forces = find_forces(g, labels(1, 2, 3, 4))
+        got = [(members1(f.source), members1(f.target)) for f in forces]
+        assert got == [((1, 3, 4), (5, 6, 7)), ((2, 3, 4), (5, 6, 7))]
 
     def test_wide_slice_meets_enumeration_cap(self):
         # 15 black vertices, each pointing at all 15 white ones: only the
@@ -141,13 +176,15 @@ class TestFindForces:
         assert [(members1(f.source), members1(f.target)) for f in forces] == [((13,), (14,))]
 
     @pytest.mark.parametrize("k", [12, 13, 31])
-    def test_cap_bounds_subsets_looked_at(self, k):
-        # every listed subset is a force, so the forces drawn before the
-        # refusal count the subsets looked at
+    def test_cap_bounds_subsets_looked_at(self, k, monkeypatch):
+        # the listing counts the subsets looked at before the refusal; of
+        # them only the singletons are irreducible forces
+        listings = _listings(monkeypatch)
         g, black = _private_targets(k), (1 << k) - 1
         forces, refused = _drawn(g, black)
         assert refused == (k > 12)  # a set at the cap is never refused
-        assert len(forces) == {12: 4095, 13: 4095, 31: 496}[k]
+        assert _listed(listings[0]) == {12: 4095, 13: 4095, 31: 496}[k]
+        assert [f.source for f in forces] == [1 << v for v in range(k)]
 
     def test_black_sets_within_cap_never_refused(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -161,9 +198,11 @@ class TestFindForces:
 
     def test_matches_all_subsets_reference(self, monkeypatch):
         rng = np.random.default_rng(32)
+        reducible = 0
         for trial in range(500):
             g = random_digraph(rng, n_max=9, with_leaders=False)
             black = int(rng.integers(1, g.full_mask + 1))
+            refused = False
             if trial % 3:
                 max_size = (None, None, 1, 2, 3)[trial % 5]
                 got = [
@@ -171,15 +210,16 @@ class TestFindForces:
                     for f in find_forces(g, black)
                     if max_size is None or f.source.bit_count() <= max_size
                 ]
-                want = all_subsets_forces(g, black, max_size)
+                every = all_subsets_forces(g, black, max_size)
             else:
                 with monkeypatch.context() as m:
                     m.setattr(forcing, "MAX_SOURCE_CAP", int(rng.integers(2, 7)))
                     got, refused = _drawn(g, black)
-                want = all_subsets_forces(g, black)
-                if refused:
-                    want = want[: len(got)]
-            assert got == want
+                every = all_subsets_forces(g, black)
+            want = irreducible(g, black, every)
+            reducible += len(every) - len(want)
+            assert got == (want[: len(got)] if refused else want)
+        assert reducible > 100
 
     def test_small_cap_config(self, monkeypatch):
         g = load_fig("fig8")
@@ -189,6 +229,32 @@ class TestFindForces:
         forces, refused = _drawn(g, labels(1, 2, 3, 4, 5))
         assert refused and [members1(f.source) for f in forces] == [(5,)]
         assert forces == all_subsets_forces(g, labels(1, 2, 3, 4, 5))[:1]
+
+
+class TestReferenceSearch:
+    """The backtracking and greedy derivations draw only irreducible forces
+    and skip slice tests, yet end exactly as a plain search over every
+    force of the all-subsets reference does: the same witness and stuck
+    traces, and the same greedy trace."""
+
+    @staticmethod
+    def graphs() -> list[ColoredDigraph]:
+        # the golden sweep, and the scale family's draw at n = 12 and 14,
+        # small enough for the reference to test every black subset
+        return [*sweep_graphs(), *(scale_graph(n, i) for n in (12, 14) for i in range(4))]
+
+    def test_outcomes_match_reference(self):
+        witnesses = stuck = 0
+        for g in self.graphs():
+            want = reference_derivation_outcomes(g, g.leader_mask)
+            assert forcing.derivation_outcomes(g, g.leader_mask) == want
+            witnesses += want[0] is not None
+            stuck += len(want[1])
+        assert witnesses > 50 and stuck > 100
+
+    def test_greedy_matches_reference(self):
+        for g in self.graphs():
+            assert derived_set_greedy(g, g.leader_mask) == reference_greedy(g, g.leader_mask)
 
 
 def _eager_iter(g, black, *args, **kwargs):
@@ -219,7 +285,7 @@ class TestIterForces:
         for _ in range(400):
             g = random_digraph(rng, n_max=12, with_leaders=False)
             black = int(rng.integers(1, g.full_mask + 1))
-            full = eager_forces(g, black)
+            full = irreducible(g, black, eager_forces(g, black))
             assert list(iter_forces(g, black)) == full
             with monkeypatch.context() as m:
                 m.setattr(forcing, "MAX_SOURCE_CAP", int(rng.integers(1, 5)))
@@ -234,33 +300,35 @@ class TestIterForces:
                 partial += bool(got)
                 assert got == full[: len(got)]
             else:
-                assert got == want == full
+                assert got == irreducible(g, black, want) == full
         assert raised > 50 and partial > 20
 
     def test_slices_tested_only_for_listed_subsets(self, monkeypatch):
-        # sizes 1-6 of 13 private-target vertices are listed and tested
-        # (4095 slices); listing size 7 passes the budget, and the refusal
-        # comes before any of its slices is tested
+        # sizes 1-6 of 13 private-target vertices are listed (4095
+        # subsets), and only the 13 irreducible singletons among them are
+        # tested; listing size 7 passes the budget, and the refusal comes
+        # before any of its slices is tested
         calls = _count_slice_tests(monkeypatch)
+        listings = _listings(monkeypatch)
         g, black = _private_targets(13), (1 << 13) - 1
         forces = iter_forces(g, black)
         assert calls[0] == 0
         assert next(forces).source == 1 and calls[0] == 1
         with pytest.raises(SearchBoundExceededError):
             for force in forces:
-                assert force.source.bit_count() <= 6
-        assert calls[0] == 4095
+                assert force.source.bit_count() == 1
+        assert calls[0] == 13 and _listed(listings[0]) == 4095
 
     def test_dead_child_skipped_after_first_force(self, monkeypatch):
-        # vertex v < 3 of a private-target graph forces {3 + v}: {0} is
+        # vertex v < 4 of a private-target graph forces {4 + v}: {0} is
         # tested though its child is dead, as it is the first force, and the
-        # dead children of {1} and {0, 2} are not tested after it
+        # dead children of {1} and {3} are not tested after it
         calls = _count_slice_tests(monkeypatch)
-        g, black = _private_targets(3, n=6), 0b111
-        dead = {black | 1 << 3, black | 1 << 4, black | 1 << 3 | 1 << 5}
+        g, black = _private_targets(4, n=8), 0b1111
+        dead = {black | 1 << 4, black | 1 << 5, black | 1 << 7}
         forces = [f.source for f in iter_forces(g, black, dead)]
-        assert forces == [0b001, 0b100, 0b011, 0b110, 0b111]
-        assert calls[0] == 5
+        assert forces == [0b0001, 0b0100]
+        assert calls[0] == 2
 
     def test_dead_child_still_meets_the_cap(self):
         # 13 black vertices: 0 forces white 13 alone; every other one points
@@ -293,7 +361,8 @@ class TestIterForces:
 
     def test_walks_share_one_listing(self, monkeypatch):
         # two walks over the same candidates, drawn in turn, read one
-        # listing: each size is listed once, and each walk yields every force
+        # listing: each size is listed once, and each walk yields every
+        # irreducible force
         grown = []
         original = forcing._Listing._grow
 
@@ -305,7 +374,7 @@ class TestIterForces:
         forcing._listing.cache_clear()
         g, black = _private_targets(5, n=10), 0b11111
         drawn = [f for pair in zip(iter_forces(g, black), iter_forces(g, black)) for f in pair]
-        assert drawn[::2] == drawn[1::2] == all_subsets_forces(g, black)
+        assert drawn[::2] == drawn[1::2] == irreducible(g, black, all_subsets_forces(g, black))
         assert grown == [1, 2, 3, 4, 5]
 
     def test_refusal_repeats_for_every_walk(self):
@@ -313,7 +382,10 @@ class TestIterForces:
         # candidates yields the same forces and refuses at the same size
         g, black = _private_targets(13), (1 << 13) - 1
         first, second = _drawn(g, black), _drawn(g, black)
-        assert first == second and first[1] and len(first[0]) == 4095
+        assert first == second and first[1] and len(first[0]) == 13
+        for _ in range(2):
+            with pytest.raises(SearchBoundExceededError, match="at size 7"):
+                find_forces(g, black)
 
     def test_search_tests_fewer_slices(self, monkeypatch):
         g = load_fig("fig7d")  # a zero forcing set with several forces per step

@@ -13,7 +13,11 @@ never stack past a few rows; a digest of ``check --json`` over the same
 graphs pins the certificates and the exit-3 refusals of the force search
 at the target scale, and one over graphs 0-7 of each density of the
 dense62 family pins the refusals of denser 62-vertex graphs, where most
-black sets pass the source budget.
+black sets pass the source budget.  A digest of ``check --json`` over the
+n = 17-20 mid family, drawn as the benchmark's forcing-scale graphs are,
+pins the force walks at the roots of the stages that edge operations
+reach at that size; the sweep's graphs are smaller (n = 4-10) and the
+scale family's sparser (edge probability 4.5 / n).
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -31,14 +35,13 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
 import pytest
 
 from colored_ssc.cli import main
 from colored_ssc.corpus import GRAPH_IDS, path as fig_path
 from colored_ssc.graph import ColoredDigraph, serialize
 
-from conftest import dense_graph, random_digraph, scale_graph
+from conftest import dense_graph, mid_graph, scale_graph, sweep_graphs
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 COMMANDS = {
@@ -56,7 +59,6 @@ SWEEPS = {
     "sweep forcing --greedy --json": ("forcing", "--greedy", "--json"),
     "sweep eeo-derive --json --budget 2": ("eeo-derive", "--json", "--budget", "2"),
 }
-SWEEP_SEED, SWEEP_GRAPHS = 2026, 300
 SCALE_SWEEPS = {
     "scale oracle --json": ("oracle", "--json"),
     "scale check --json": ("check", "--json"),
@@ -64,6 +66,8 @@ SCALE_SWEEPS = {
 SCALE_SIZES, SCALE_GRAPHS = (30, 40, 50, 62), 12
 DENSE_SWEEP = "dense check --json"
 DENSE_DEGREES, DENSE_GRAPHS = (3.0, 6.0, 9.0), 8
+MID_SWEEP = "mid check --json"
+MID_SIZES, MID_GRAPHS = (17, 18, 19, 20), 24
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -97,9 +101,7 @@ def _digest(graphs: Iterable[ColoredDigraph], argv: tuple[str, ...]) -> str:
 def sweep_sha256(sweep: str) -> str:
     """The sweep's command digested over a fixed-seed ``random_digraph``
     sweep (n = 4-10)."""
-    rng = np.random.default_rng(SWEEP_SEED)
-    graphs = (random_digraph(rng, n_min=4, n_max=10, edge_prob=0.3) for _ in range(SWEEP_GRAPHS))
-    return _digest(graphs, SWEEPS[sweep])
+    return _digest(sweep_graphs(), SWEEPS[sweep])
 
 
 def scale_sha256(sweep: str) -> str:
@@ -116,13 +118,20 @@ def dense_sha256() -> str:
     return _digest(graphs, ("check", "--json"))
 
 
+def mid_sha256() -> str:
+    """``check --json`` digested over graphs 0-23 of each size of the mid
+    family."""
+    graphs = (mid_graph(n, i) for n in MID_SIZES for i in range(MID_GRAPHS))
+    return _digest(graphs, ("check", "--json"))
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
 def test_golden_covers_corpus(golden):
-    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, *SCALE_SWEEPS, DENSE_SWEEP])
+    assert sorted(golden) == sorted([*GRAPH_IDS, *SWEEPS, *SCALE_SWEEPS, DENSE_SWEEP, MID_SWEEP])
     assert all(sorted(golden[g]) == sorted(COMMANDS) for g in GRAPH_IDS)
 
 
@@ -176,6 +185,11 @@ def test_dense_check_digest(golden):
     assert dense_sha256() == golden[DENSE_SWEEP]
 
 
+def test_mid_check_digest(golden):
+    # 63 CONTROLLABLE (6 by edge operations) and 33 UNDECIDED
+    assert mid_sha256() == golden[MID_SWEEP]
+
+
 if __name__ == "__main__":
     table: dict = {}
     for g in GRAPH_IDS:
@@ -189,5 +203,6 @@ if __name__ == "__main__":
     for sweep in SCALE_SWEEPS:
         table[sweep] = scale_sha256(sweep)
     table[DENSE_SWEEP] = dense_sha256()
+    table[MID_SWEEP] = mid_sha256()
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
