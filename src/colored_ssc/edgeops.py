@@ -88,17 +88,27 @@ def edges_to_white(
     return tuple((v, head, color) for head, color in g.out_edges[v] if targets >> head & 1)
 
 
-def _rebuild(g: ColoredDigraph, edges: tuple[tuple[int, int, int], ...]) -> ColoredDigraph:
-    """New graph over the same vertices, dropping color cells that emptied.
+def _rebuild(
+    g: ColoredDigraph, tail: int, row: tuple[tuple[int, int], ...], masks: tuple[int, ...]
+) -> ColoredDigraph:
+    """``g`` with the out-edges of ``tail`` replaced by ``row``, dropping
+    color cells that emptied.
 
-    Surviving colors keep their names, so realizations keyed by name carry
-    over to derived graphs unchanged.  ``edges`` are ``g``'s, in its order,
-    with some recolored within its palette or dropped, so the new graph is
-    valid by construction and is not checked again.
+    ``row`` holds some of those edges, in head order, some recolored within
+    the palette, so the new graph is valid by construction and is not
+    checked again.  Surviving colors keep their names, so realizations
+    keyed by name carry over to derived graphs unchanged.  The new graph
+    caches ``masks`` as its ``out_masks`` and shares every row of
+    ``out_edges`` but the tail's with ``g``, unless an emptied color
+    renumbers the palette; then its rows are rebuilt from its edges.
     """
+    # edges are sorted, so the tail's are one run
+    lo, hi = bisect_left(g.edges, (tail,)), bisect_left(g.edges, (tail + 1,))
+    edges = g.edges[:lo] + tuple((tail, h, c) for h, c in row) + g.edges[hi:]
     used = {c for _, _, c in edges}
     if len(used) == len(g.colors):
-        return ColoredDigraph.unchecked(g.n, edges, g.colors, g.leaders)
+        rows = g.out_edges[:tail] + (row,) + g.out_edges[tail + 1 :]
+        return ColoredDigraph.unchecked(g.n, edges, g.colors, g.leaders, masks, rows)
     kept = sorted(used)
     remap = {c: i for i, c in enumerate(kept)}
     return ColoredDigraph.unchecked(
@@ -106,6 +116,7 @@ def _rebuild(g: ColoredDigraph, edges: tuple[tuple[int, int, int], ...]) -> Colo
         tuple((t, h, remap[c]) for t, h, c in edges),
         tuple(g.colors[c] for c in kept),
         g.leaders,
+        masks,
     )
 
 
@@ -127,13 +138,9 @@ def apply_turn_color(
         raise UnknownColorError(f"color index {new_color + 1} not in palette")
     if new_color == old_color:
         raise SameColorError(f"edges from {u + 1} already have color {g.colors[old_color]}")
-    # edges are sorted, so u's are one run; its fan edges take the new color
-    lo, hi = bisect_left(g.edges, (u,)), bisect_left(g.edges, (u + 1,))
-    fan_set = set(fan)
-    run = tuple(
-        (t, h, new_color) if (t, h, c) in fan_set else (t, h, c) for t, h, c in g.edges[lo:hi]
-    )
-    return _rebuild(g, g.edges[:lo] + run + g.edges[hi:])
+    white = g.out_masks[u] & ~black
+    row = tuple((h, new_color if white >> h & 1 else c) for h, c in g.out_edges[u])
+    return _rebuild(g, u, row, g.out_masks)
 
 
 def apply_remove_edges(g: ColoredDigraph, u: int, v: int, black: int) -> ColoredDigraph:
@@ -147,15 +154,18 @@ def apply_remove_edges(g: ColoredDigraph, u: int, v: int, black: int) -> Colored
             f"white out-neighbors {set(vset_labels(u_white))} of {u + 1} are not "
             f"contained in {set(vset_labels(v_white))} of {v + 1}"
         )
-    for k in iter_vset(u_white):
-        if g.edge_color[(u, k)] != g.edge_color[(v, k)]:
+    v_colors = dict(g.out_edges[v])
+    for k, color in g.out_edges[u]:
+        if u_white >> k & 1 and v_colors[k] != color:
             raise ColorMismatchError(
                 f"edges ({u + 1},{k + 1}) and ({v + 1},{k + 1}) differ in color"
             )
-    doomed = set(edges_to_white(g, u, v, black))
-    if not doomed:
+    if not u_white:
         return g
-    return _rebuild(g, tuple(e for e in g.edges if e not in doomed))
+    row = tuple(edge for edge in g.out_edges[v] if not u_white >> edge[0] & 1)
+    masks = list(g.out_masks)
+    masks[v] &= ~u_white
+    return _rebuild(g, v, row, tuple(masks))
 
 
 def apply_op(g: ColoredDigraph, op: EdgeOp) -> ColoredDigraph:
@@ -323,16 +333,23 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     read; an operation updates the key's edge hash by :func:`op_delta`, a
     stage graph is built only when its key is new, and that key serves
     the new stage's own stuck set at its black set.  A stage reached by an
-    operation starts at the stuck set the operation was validated against,
-    where its parent stage had no force; the operation changed only the
-    out-edges of its tail (``u`` for a recoloring, ``v`` for a removal)
-    into white vertices, so only sources that contain the tail are tested
-    there (see :func:`derivation_outcomes`).  A repeated key is
-    either an ancestor, then the same graph, or a finished stage, whose
-    subtree found no certificate and no larger set, so skipping it changes
-    nothing but the work; the budget counts distinct stages.  A hash
-    collision can only skip a stage, never admit a certificate: every
-    certificate replays.
+    operation starts at the stuck set C the operation was validated
+    against, where its parent stage had no force.  A recoloring moves u's
+    white fan, all of one color x_old, to the color x_new and keeps every
+    reach mask.  In a slice whose source holds u, row u is exactly that fan,
+    and the determinant is linear in that row, so it becomes x_new/x_old
+    times the parent's: the same number of terms, the same coefficients.
+    Slices without u do not change, and the walk at C lists what the
+    parent's walk listed there without error.  So a recoloring's stage is
+    stuck at C, and no force search runs there.  A removal changes only
+    the out-edges of v into white vertices, so at C only sources that
+    contain v are tested (see :func:`derivation_outcomes`).  A stage graph
+    shares its parent's rows (:attr:`ColoredDigraph.out_edges` and
+    ``out_masks``) but the tail's.  A repeated key is either an ancestor,
+    then the same graph, or a finished stage, whose subtree found no
+    certificate and no larger set, so skipping it changes nothing but the
+    work; the budget counts distinct stages.  A hash collision can only
+    skip a stage, never admit a certificate: every certificate replays.
     """
     limit = 10_000 if budget is None else budget
     if limit < 1:
@@ -341,9 +358,12 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     memo: set[StageKey] = {key}
     best: EeoTrace | None = None
     path: list[list] = []
-    graph, states, changed = g, 1, -1
+    graph, states, op = g, 1, None
     while True:
-        witness, stuck = derivation_outcomes(graph, black, changed)
+        if isinstance(op, TurnColor):
+            witness, stuck = None, [DerivationTrace(black, (), black)]
+        else:
+            witness, stuck = derivation_outcomes(graph, black, -1 if op is None else 1 << op.v)
         if witness is not None:
             return _trace(path, graph, witness)
         # Prefer branching from larger derived sets; ties break on the mask.
@@ -367,5 +387,4 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
         states += 1
         memo.add(move[2])
         derivation, op, key = move
-        changed = 1 << (op.u if isinstance(op, TurnColor) else op.v)
         graph, black = apply_op(frame[0], op), derivation.final

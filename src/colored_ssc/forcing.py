@@ -230,9 +230,10 @@ def _listing(candidates: tuple[tuple[int, int], ...], limit: int, cap: int) -> _
     """The listing shared by the walks over ``candidates`` up to ``limit``
     members under a budget of ``2**cap - 1`` subsets.  Every caller gets the
     same object, which grows as any of them reads a new size and holds no
-    state of one walk.  The stages an edge-operation search reaches from
-    one stuck set by recoloring start from the same candidates, so a search
-    over thousands of stages reads few distinct listings."""
+    state of one walk.  An edge operation changes only edges into vertices
+    white at its stuck set, so at a larger black set of the stage it builds,
+    where those heads are black, a walk has the candidates the parent
+    stage's walk there had and reads its listing."""
     return _Listing(candidates, limit, cap)
 
 
@@ -315,7 +316,11 @@ def derivation_outcomes(
     out-edges of the ``changed`` vertices into white ones: every other
     source has the same slice on both graphs, and ``g`` lists no subset
     without them that the other graph's walk, which has every candidate
-    ``g`` has and no smaller limit, did not.
+    ``g`` has and no smaller limit, did not.  The edge-operation search
+    passes it for the tail ``v`` of a removal only: a recoloring's stage is
+    not searched at all, since multiplying one row of every slice through
+    its tail by x_new/x_old, as a recoloring does, keeps each determinant's
+    terms and coefficients (see :func:`colored_ssc.edgeops.eeo_derived_set`).
     """
     start, full = black, g.full_mask
     dead: set[int] = set()

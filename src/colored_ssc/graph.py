@@ -154,13 +154,20 @@ class ColoredDigraph:
         edges: tuple[tuple[int, int, int], ...],
         colors: tuple[str, ...],
         leaders: tuple[int, ...] | None,
+        out_masks: tuple[int, ...] | None = None,
+        out_edges: tuple[tuple[tuple[int, int], ...], ...] | None = None,
     ) -> ColoredDigraph:
         """A graph from fields already in the form ``__post_init__`` checks
         and leaves (edges sorted tuples, every color used, names distinct,
-        leaders sorted), built without checking them again."""
+        leaders sorted), built without checking them again.  ``out_masks``
+        and ``out_edges``, when given, must be what those properties would
+        compute from ``edges``; they are cached as they are."""
         g = object.__new__(cls)
         for name, value in (("n", n), ("edges", edges), ("colors", colors), ("leaders", leaders)):
             object.__setattr__(g, name, value)
+        for name, value in (("out_masks", out_masks), ("out_edges", out_edges)):
+            if value is not None:
+                object.__setattr__(g, name, value)
         return g
 
     @cached_property
@@ -169,10 +176,6 @@ class ColoredDigraph:
         for tail, head, _ in self.edges:
             masks[tail] |= 1 << head
         return tuple(masks)
-
-    @cached_property
-    def edge_color(self) -> dict[tuple[int, int], int]:
-        return {(t, h): c for t, h, c in self.edges}
 
     @cached_property
     def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -7,6 +7,7 @@ import pytest
 
 from colored_ssc import edgeops, forcing
 from colored_ssc.analysis import analyze, eeo_to_jsonable
+from colored_ssc.bipartite import slice_signature, symbolic_det
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
 from colored_ssc.edgeops import (
     ColorMismatchError,
@@ -27,7 +28,12 @@ from colored_ssc.edgeops import (
     op_delta,
     stage_key,
 )
-from colored_ssc.forcing import derived_set_greedy, is_zero_forcing_set
+from colored_ssc.forcing import (
+    DerivationTrace,
+    derivation_outcomes,
+    derived_set_greedy,
+    is_zero_forcing_set,
+)
 from colored_ssc.graph import ColoredDigraph, iter_vset, validate, vset
 from colored_ssc.oracle import (
     Realization,
@@ -39,9 +45,12 @@ from conftest import (
     eager_forces,
     labels,
     members1,
+    random_bipartite,
     random_digraph,
     reducible,
     reference_eeo_derived_set,
+    standalone_bipartite,
+    sweep_graphs,
     weighted_adjacency,
 )
 
@@ -183,7 +192,7 @@ class TestFindEdgeOps:
 
 
     def test_matches_per_edge_reference(self):
-        # the reference compares fans head by head through edge_color
+        # the reference compares fans head by head through an edge lookup
         rng = np.random.default_rng(18)
         for _ in range(200):
             g = random_digraph(rng, n_max=9, with_leaders=False)
@@ -202,20 +211,44 @@ class TestFindEdgeOps:
                 checked = ColoredDigraph(n=d.n, edges=d.edges, colors=d.colors, leaders=d.leaders)
                 assert d == checked
 
+    def test_stage_rows_match_rebuilt_graph(self):
+        # a stage graph inherits every row but the tail's from its parent,
+        # and rebuilds them when the palette is renumbered
+        rng = np.random.default_rng(29)
+        shared = renumbered = 0
+        for _ in range(150):
+            g = random_digraph(rng, n_max=9, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            for op in find_edge_ops(g, black):
+                d = apply_op(g, op)
+                rebuilt = ColoredDigraph(n=d.n, edges=d.edges, colors=d.colors, leaders=d.leaders)
+                assert d.out_masks == rebuilt.out_masks
+                assert d.out_edges == rebuilt.out_edges
+                if isinstance(op, TurnColor):
+                    assert d.out_masks is g.out_masks
+                if len(d.colors) < len(g.colors):
+                    renumbered += 1
+                    continue
+                tail = op.u if isinstance(op, TurnColor) else op.v
+                assert all(d.out_edges[w] is g.out_edges[w] for w in range(g.n) if w != tail)
+                shared += 1
+        assert shared > 100 and renumbered > 5
+
 
 def per_edge_ops(g: ColoredDigraph, black: int) -> list:
     """The operations at ``black``, found by comparing each head's colors:
     removals by (u, v), then recolorings by (u, new_color)."""
     members = list(iter_vset(black))
     fans = {u: g.out_masks[u] & ~black for u in members}
+    edge_color = {(t, h): c for t, h, c in g.edges}
     ops: list = []
     for u in members:
         for v in members:
             if fans[u] and u != v and not fans[u] & ~fans[v]:
-                if all(g.edge_color[(u, k)] == g.edge_color[(v, k)] for k in iter_vset(fans[u])):
+                if all(edge_color[(u, k)] == edge_color[(v, k)] for k in iter_vset(fans[u])):
                     ops.append(RemoveEdges(u=u, v=v, context=black))
     for u in members:
-        colors = {g.edge_color[(u, k)] for k in iter_vset(fans[u])}
+        colors = {edge_color[(u, k)] for k in iter_vset(fans[u])}
         if len(colors) == 1:
             ops += [TurnColor(u, c, black) for c in range(len(g.colors)) if c not in colors]
     return ops
@@ -353,12 +386,13 @@ class TestStageMemo:
 
     def test_no_operation_past_the_budget(self, monkeypatch):
         # each operation applied builds a stage that is then expanded, so a
-        # spent budget applies no more of them
-        stages, applied = [], []
+        # spent budget applies no more of them; the root and every removal
+        # stage run a force search, a recoloring stage starts stuck
+        searched, applied = [], []
         outcomes, apply = edgeops.derivation_outcomes, edgeops.apply_op
 
         def counting_outcomes(graph, black, *args, **kwargs):
-            stages.append(black)
+            searched.append(black)
             return outcomes(graph, black, *args, **kwargs)
 
         def counting_apply(graph, op):
@@ -372,25 +406,31 @@ class TestStageMemo:
         for trial in range(120):
             g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
             black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
-            stages.clear()
+            searched.clear()
             applied.clear()
-            trace = eeo_derived_set(g, black, budget=(1, 4, 30)[trial % 3])
+            budget = (1, 4, 30)[trial % 3]
+            trace = eeo_derived_set(g, black, budget=budget)
             exhausted += trace.budget_exhausted
-            assert len(applied) == len(stages) - 1
+            stages = len(applied) + 1
+            assert stages <= budget
+            assert stages == budget or not trace.budget_exhausted
+            removals = sum(isinstance(op, RemoveEdges) for op in applied)
+            assert len(searched) == removals + 1
         assert exhausted > 10
 
     def test_stages_counted_once(self, monkeypatch):
+        # every stage but the root is built by one operation
         g = validate(FS_SEED9_501)
-        stages = []
-        original = edgeops.derivation_outcomes
+        applied = []
+        original = edgeops.apply_op
 
-        def counting(graph, black, *args, **kwargs):
-            stages.append(black)
-            return original(graph, black, *args, **kwargs)
+        def counting(graph, op):
+            applied.append(op)
+            return original(graph, op)
 
-        monkeypatch.setattr(edgeops, "derivation_outcomes", counting)
+        monkeypatch.setattr(edgeops, "apply_op", counting)
         trace = eeo_derived_set(g, g.leader_mask)
-        assert len(stages) == 486
+        assert len(applied) + 1 == 486
         assert not trace.complete and not trace.budget_exhausted
         assert trace.replay_ok()
 
@@ -398,14 +438,15 @@ class TestStageMemo:
 class TestSliceSkips:
     """The force search skips a slice test only where the answer cannot
     change the search: after a black set's first force, for a child that is
-    already dead, and at the stuck set a stage starts from, for a source
-    without the tail of the operation that built the stage."""
+    already dead; at the stuck set a removal's stage starts from, for a
+    source without the removal's tail; and at the stuck set a recoloring's
+    stage starts from, for every source."""
 
     @staticmethod
-    def searches() -> list:
+    def searches(trials: int = 210) -> list:
         rng = np.random.default_rng(41)
         cases = []
-        for trial in range(210):
+        for trial in range(trials):
             g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
             black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
             cases.append((g, black, (1, 4, 30)[trial % 3]))
@@ -469,7 +510,9 @@ class TestSliceSkips:
         monkeypatch.setattr(edgeops, "derivation_outcomes", spy_outcomes)
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        for g, black, budget in self.searches():
+        # a recoloring stage runs no force search, so removal stages alone
+        # test slices at a stage root; twice the cases meet enough of them
+        for g, black, budget in self.searches(420):
             stage.clear()
             eeo_derived_set(g, black, budget=budget)
         assert seen["after a force"] > 100 and seen["at a stage root"] > 30
@@ -506,9 +549,101 @@ class TestSliceSkips:
 
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        for g, black, budget in self.searches():
+        # with recoloring stages unsearched, twice the cases meet enough
+        for g, black, budget in self.searches(420):
             eeo_derived_set(g, black, budget=budget)
         assert checked[0] > 100
+
+    def test_no_slice_tested_at_a_recolored_root(self, monkeypatch):
+        apply, iter_forces, slice_key = edgeops.apply_op, forcing.iter_forces, forcing.slice_key
+        roots: dict = {}  # id of a recolored stage graph: the graph, its stuck set
+        drawing: list[bool] = []  # per draw, whether it is at a recolored root
+        tested: list[bool] = []  # per slice test, the same
+        recolorings = [0]
+
+        def spy_apply(graph, op):
+            child = apply(graph, op)
+            if isinstance(op, TurnColor):
+                roots[id(child)] = (child, op.context)
+                recolorings[0] += 1
+            return child
+
+        def spy_iter(g, black, *args):
+            forces = iter_forces(g, black, *args)
+            at_root = roots.get(id(g), (None, None))[1] == black
+
+            def drawn():
+                while True:
+                    drawing.append(at_root)
+                    try:
+                        force = next(forces, None)
+                    finally:
+                        drawing.pop()
+                    if force is None:
+                        return
+                    yield force
+
+            return drawn()
+
+        def spy_key(g, source, target):
+            tested.append(drawing[-1])
+            return slice_key(g, source, target)
+
+        monkeypatch.setattr(edgeops, "apply_op", spy_apply)
+        monkeypatch.setattr(forcing, "iter_forces", spy_iter)
+        monkeypatch.setattr(forcing, "slice_key", spy_key)
+        for g, black, budget in self.searches(420):
+            roots.clear()
+            eeo_derived_set(g, black, budget=budget)
+        assert not any(tested)
+        assert recolorings[0] > 100 and len(tested) > 1000
+
+
+class TestRecoloredRoots:
+    """A recoloring at a stuck set C moves u's white fan, which is one color,
+    to another color.  In a slice whose source holds u, row u is that fan,
+    and the determinant is linear in it, so it is multiplied by x_new/x_old:
+    the same number of terms, the same coefficients.  Slices without u do
+    not change.  So the stage the recoloring builds has no force at C."""
+
+    def test_no_force_at_the_stuck_set(self):
+        recolorings = 0
+        for g in sweep_graphs():
+            _, stuck = derivation_outcomes(g, g.leader_mask)
+            for derivation in stuck:
+                black = derivation.final
+                for op in find_edge_ops(g, black):
+                    if isinstance(op, TurnColor):
+                        recolorings += 1
+                        want = (None, [DerivationTrace(black, (), black)])
+                        assert derivation_outcomes(apply_op(g, op), black) == want
+        assert recolorings > 40
+
+    def test_recolored_row_keeps_the_signature(self):
+        rng = np.random.default_rng(37)
+        checked = nonsingular = 0
+        for _ in range(300):
+            b = random_bipartite(rng, t_max=8, max_colors=4)
+            rows = sorted({xi for xi, _, _ in b.edges})
+            if not rows:
+                continue
+            x = rows[int(rng.integers(len(rows)))]
+            old, new = map(int, rng.choice(4, size=2, replace=False))
+            before, after = (
+                standalone_bipartite(
+                    len(b.x_vertices),
+                    [(xi, yi, color if xi == x else c) for xi, yi, c in b.edges],
+                    4,
+                )
+                for color in (old, new)
+            )
+            signature = slice_signature(before.slice_key())
+            assert slice_signature(after.slice_key()) == signature
+            coefficients = sorted(coeff for _, coeff in symbolic_det(before).terms)
+            assert sorted(coeff for _, coeff in symbolic_det(after).terms) == coefficients
+            checked += 1
+            nonsingular += signature is not None
+        assert checked > 250 and nonsingular > 20
 
 
 class TestAnalyze:
