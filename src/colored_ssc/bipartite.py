@@ -306,16 +306,6 @@ def slice_signature(key: SliceKey) -> int | None:
     return next(iter(terms.values())) if len(terms) == 1 else None
 
 
-def pattern_nonsingular(b: ColoredBipartite) -> bool:
-    """Whether every matrix with this colored zero pattern is nonsingular.
-
-    True iff the symbolic determinant is a single monomial, that is, iff
-    exactly one equal-spectrum class of perfect matchings has a nonzero
-    signature.
-    """
-    return certifying_signature(b) is not None
-
-
 def certifying_signature(b: ColoredBipartite) -> int | None:
     """The unique nonzero class signature (the determinant's only
     coefficient), or None when not nonsingular."""

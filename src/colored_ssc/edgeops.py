@@ -7,6 +7,9 @@ from v toward u's white out-neighbors when v's fan dominates u's with
 matching colors.  Alternating forcing phases with single edge operations
 grows an edge-operations derived set; reaching all of V certifies the
 original leader set.
+
+:func:`find_edge_ops` is the rule; replay checks membership.  It alone
+encodes when an operation applies; :func:`apply_op` applies it unchecked.
 """
 
 from __future__ import annotations
@@ -17,35 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .forcing import DerivationTrace, derivation_outcomes
-from .graph import ColoredDigraph, iter_vset, vset_labels, white_out_neighbors
-
-
-class EdgeOpError(ValueError):
-    """Preconditions of an elementary edge operation are violated."""
-
-
-class MixedColorsError(EdgeOpError):
-    pass
-
-
-class SameColorError(EdgeOpError):
-    pass
-
-
-class UnknownColorError(EdgeOpError):
-    pass
-
-
-class EmptyEdgeSetError(EdgeOpError):
-    """Recoloring a vertex with no white out-edges is rejected as vacuous."""
-
-
-class NotNestedError(EdgeOpError):
-    pass
-
-
-class ColorMismatchError(EdgeOpError):
-    pass
+from .graph import ColoredDigraph, iter_vset
 
 
 @dataclass(frozen=True)
@@ -76,16 +51,6 @@ class RemoveEdges:
 
 
 EdgeOp = TurnColor | RemoveEdges
-
-
-def edges_to_white(
-    g: ColoredDigraph, u: int, v: int, black: int
-) -> tuple[tuple[int, int, int], ...]:
-    """Edges from ``v`` whose heads are white out-neighbors of ``u``."""
-    if not (black >> u & 1 and black >> v & 1):
-        raise EdgeOpError("both vertices must be black")
-    targets = white_out_neighbors(g, 1 << u, black)
-    return tuple((v, head, color) for head, color in g.out_edges[v] if targets >> head & 1)
 
 
 def _rebuild(
@@ -120,58 +85,21 @@ def _rebuild(
     )
 
 
-def apply_turn_color(
-    g: ColoredDigraph, u: int, new_color: int, black: int
-) -> ColoredDigraph:
-    """Recolor u's white fan to ``new_color``; the fan must be monochromatic."""
-    fan = edges_to_white(g, u, u, black)
-    if not fan:
-        raise EmptyEdgeSetError(f"vertex {u + 1} has no edges to white vertices")
-    fan_colors = {c for _, _, c in fan}
-    if len(fan_colors) > 1:
-        raise MixedColorsError(
-            f"edges from {u + 1} to white vertices span colors "
-            f"{sorted(g.colors[c] for c in fan_colors)}"
-        )
-    (old_color,) = fan_colors
-    if not 0 <= new_color < len(g.colors):
-        raise UnknownColorError(f"color index {new_color + 1} not in palette")
-    if new_color == old_color:
-        raise SameColorError(f"edges from {u + 1} already have color {g.colors[old_color]}")
-    white = g.out_masks[u] & ~black
-    row = tuple((h, new_color if white >> h & 1 else c) for h, c in g.out_edges[u])
-    return _rebuild(g, u, row, g.out_masks)
-
-
-def apply_remove_edges(g: ColoredDigraph, u: int, v: int, black: int) -> ColoredDigraph:
-    """Delete v's copies of u's white fan; u's fan must be color-matched in v's."""
-    if u == v:
-        raise EdgeOpError("removal requires two distinct black vertices")
-    u_white = white_out_neighbors(g, 1 << u, black)
-    v_white = white_out_neighbors(g, 1 << v, black)
-    if u_white & ~v_white:
-        raise NotNestedError(
-            f"white out-neighbors {set(vset_labels(u_white))} of {u + 1} are not "
-            f"contained in {set(vset_labels(v_white))} of {v + 1}"
-        )
-    v_colors = dict(g.out_edges[v])
-    for k, color in g.out_edges[u]:
-        if u_white >> k & 1 and v_colors[k] != color:
-            raise ColorMismatchError(
-                f"edges ({u + 1},{k + 1}) and ({v + 1},{k + 1}) differ in color"
-            )
-    if not u_white:
-        return g
-    row = tuple(edge for edge in g.out_edges[v] if not u_white >> edge[0] & 1)
-    masks = list(g.out_masks)
-    masks[v] &= ~u_white
-    return _rebuild(g, v, row, tuple(masks))
-
-
 def apply_op(g: ColoredDigraph, op: EdgeOp) -> ColoredDigraph:
+    """``g`` after ``op``, which ``find_edge_ops(g, op.context)`` must offer.
+
+    :func:`find_edge_ops` is the rule; replay checks membership.  This only
+    applies: it recolors u's white fan, or drops v's edges toward it and
+    those heads from v's reach mask, and checks nothing again.
+    """
+    white = g.out_masks[op.u] & ~op.context
     if isinstance(op, TurnColor):
-        return apply_turn_color(g, op.u, op.new_color, op.context)
-    return apply_remove_edges(g, op.u, op.v, op.context)
+        row = tuple((h, op.new_color if white >> h & 1 else c) for h, c in g.out_edges[op.u])
+        return _rebuild(g, op.u, row, g.out_masks)
+    row = tuple(edge for edge in g.out_edges[op.v] if not white >> edge[0] & 1)
+    masks = list(g.out_masks)
+    masks[op.v] &= ~white
+    return _rebuild(g, op.v, row, tuple(masks))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -273,21 +201,18 @@ class EeoTrace:
         return self.final == self.graphs[0].full_mask
 
     def replay_ok(self) -> bool:
-        """Re-validate every forcing step and every op precondition."""
+        """Re-validate every force, and check that every op is offered by
+        :func:`find_edge_ops` and builds the next stage graph."""
+        if not len(self.graphs) == len(self.derivations) == len(self.ops) + 1:
+            return False
         black = self.derivations[0].initial
         for i, derivation in enumerate(self.derivations):
             if derivation.initial != black or not derivation.replay_ok(self.graphs[i]):
                 return False
             black = derivation.final
             if i < len(self.ops):
-                op = self.ops[i]
-                if op.context != black:
-                    return False
-                try:
-                    regenerated = apply_op(self.graphs[i], op)
-                except EdgeOpError:
-                    return False
-                if regenerated != self.graphs[i + 1]:
+                g, op = self.graphs[i], self.ops[i]
+                if op not in find_edge_ops(g, black) or apply_op(g, op) != self.graphs[i + 1]:
                     return False
         return True
 

@@ -57,13 +57,14 @@ class DerivationTrace:
     truncated: bool = False
 
     def replay_ok(self, g: ColoredDigraph) -> bool:
-        """Re-validate every step against the graph it claims to derive from."""
+        """Re-validate every step against the graph it claims to derive
+        from: each force, signature included, is the one its source
+        certifies at the black set before it."""
         black = self.initial
         for force in self.steps:
-            if force.source & ~black:
+            if not force.source or force.source & ~black:
                 return False
-            check = is_color_perfect(g, force.source, black)
-            if check is None or check.target != force.target:
+            if is_color_perfect(g, force.source, black) != force:
                 return False
             black |= force.target
         return black == self.final

@@ -1,18 +1,20 @@
 """Shared helpers: label conversions, corpus access, random generators,
-and the reference routes the production code is checked against (all-subsets
-force enumeration and its irreducible forces, the backtracking and greedy
-derivations over it, the eager force enumeration that tests every slice,
-matching classes, the classic forcing rule, the edge-operation search
-memoized on exact states, numeric realizations of slice patterns and the
-determinant's value there, the weighted adjacency of one realization, the
-Kalman rank test, zero extension solved from scratch each round or run one
-realization at a time, the per-trial sampled verdict, and a witness diagonal
-for a leader set that is not balancing)."""
+mutations that break a force derivation, and the reference routes the
+production code is checked against (all-subsets force enumeration and its
+irreducible forces, the backtracking and greedy derivations over it, the
+eager force enumeration that tests every slice, matching classes, the
+classic forcing rule, the edge-operation search memoized on exact states,
+numeric realizations of slice patterns and the determinant's value there,
+the weighted adjacency of one realization, the Kalman rank test, zero
+extension solved from scratch each round or run one realization at a time,
+the per-trial sampled verdict, and a witness diagonal for a leader set that
+is not balancing)."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -373,6 +375,28 @@ def class_term_map(b: ColoredBipartite) -> dict[tuple[int, ...], int]:
         for c in equivalence_classes(enumerate_matchings(b))
         if c.signature
     }
+
+
+def force_mutations(trace: DerivationTrace) -> Iterator[tuple[str, DerivationTrace]]:
+    """(name, trace) for each way of breaking the first force of ``trace``
+    that applies to it: dropping it, multiplying its signature by 7,
+    emptying its source, or swapping its target with the next force's."""
+    if not trace.steps:
+        return
+    first, *rest = trace.steps
+
+    def with_steps(*steps: Force) -> DerivationTrace:
+        return replace(trace, steps=steps)
+
+    yield "dropped force", with_steps(*rest)
+    signed = replace(first, class_signature=7 * first.class_signature)
+    yield "changed signature", with_steps(signed, *rest)
+    yield "empty source", with_steps(replace(first, source=0), *rest)
+    if rest:
+        second, *others = rest
+        yield "swapped target", with_steps(
+            replace(first, target=second.target), replace(second, target=first.target), *others
+        )
 
 
 def reference_eeo_derived_set(

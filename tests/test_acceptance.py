@@ -15,19 +15,19 @@ import numpy as np
 
 from colored_ssc.analysis import analyze
 from colored_ssc.bipartite import (
+    certifying_signature,
     enumerate_matchings,
     equivalence_classes,
-    pattern_nonsingular,
     symbolic_det,
 )
 from colored_ssc.corpus import load as load_fig
 from colored_ssc.edgeops import (
     EeoTrace,
     RemoveEdges,
+    TurnColor,
     apply_op,
-    apply_remove_edges,
-    apply_turn_color,
     eeo_derived_set,
+    find_edge_ops,
 )
 from colored_ssc.forcing import DerivationTrace, derived_set_greedy, is_zero_forcing_set
 from colored_ssc.graph import ColoredDigraph, induced_bipartite
@@ -80,7 +80,7 @@ def test_criterion_1_fig3_classes():
     b = induced_bipartite(load_fig("fig3"), labels(1, 2, 3), labels(1, 2, 3))
     classes = equivalence_classes(enumerate_matchings(b))
     assert [(c.members, c.signature) for c in classes] == [(2, 0), (1, -1)]
-    assert pattern_nonsingular(b)
+    assert certifying_signature(b) is not None
 
 
 @check("criterion 2: fig4 zero forcing witness with two forces")
@@ -110,9 +110,12 @@ def test_criterion_3_fig5():
 @check("criterion 4: fig6 edge operations reproduce the derived graphs")
 def test_criterion_4_fig6_operations():
     black = labels(1, 2)
-    recolored = apply_turn_color(load_fig("fig6a"), 0, 1, black)
+    turn, remove = TurnColor(u=0, new_color=1, context=black), RemoveEdges(u=0, v=1, context=black)
+    assert turn in find_edge_ops(load_fig("fig6a"), black)
+    recolored = apply_op(load_fig("fig6a"), turn)
     assert recolored == load_fig("fig6b")
-    pruned = apply_remove_edges(recolored, 0, 1, black)
+    assert remove in find_edge_ops(recolored, black)
+    pruned = apply_op(recolored, remove)
     assert pruned == load_fig("fig6c")
     assert classic_derived_set(pruned, black) == pruned.full_mask
 
@@ -146,7 +149,7 @@ def test_criterion_7_route_agreement():
     for _ in range(1000):
         b = random_bipartite(rng, t_max=5, max_colors=3)
         det = symbolic_det(b)
-        assert pattern_nonsingular(b) == (len(class_term_map(b)) == 1)
+        assert (certifying_signature(b) is not None) == (len(class_term_map(b)) == 1)
         values = sample_color_values(len(b.colors), rng)
         direct = np.linalg.det(pattern_matrix(b, values))
         via_poly = evaluate_det(det, list(values))
@@ -206,8 +209,8 @@ def _certificate_steps():
 
     g6a, g6b = load_fig("fig6a"), load_fig("fig6b")
     black6 = labels(1, 2)
-    ops.append((g6a, black6, apply_turn_color(g6a, 0, 1, black6)))
-    ops.append((g6b, black6, apply_remove_edges(g6b, 0, 1, black6)))
+    ops.append((g6a, black6, apply_op(g6a, TurnColor(u=0, new_color=1, context=black6))))
+    ops.append((g6b, black6, apply_op(g6b, RemoveEdges(u=0, v=1, context=black6))))
     g6c = load_fig("fig6c")
     chain = derived_set_greedy(g6c, black6)
     forces += list(_forces_with_context(g6c, chain))

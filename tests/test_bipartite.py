@@ -13,7 +13,6 @@ from colored_ssc.bipartite import (
     certifying_signature,
     enumerate_matchings,
     equivalence_classes,
-    pattern_nonsingular,
     symbolic_det,
 )
 from colored_ssc.corpus import load as load_fig
@@ -102,15 +101,15 @@ class TestClasses:
 
 class TestNonsingular:
     def test_fig3_true(self, fig3_slice):
-        assert pattern_nonsingular(fig3_slice)
+        assert certifying_signature(fig3_slice) is not None
 
     def test_no_matching_false(self):
         b = standalone_bipartite(2, [(0, 0, 0), (1, 0, 0)], 1)
-        assert not pattern_nonsingular(b)
+        assert certifying_signature(b) is None
 
     def test_cancelling_signs_false(self):
         b = standalone_bipartite(2, [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)], 1)
-        assert not pattern_nonsingular(b)
+        assert certifying_signature(b) is None
 
 
 class TestSymbolicDet:
@@ -147,7 +146,6 @@ class TestPolynomialVerdict:
 
     def test_single_monomial(self, fig3_slice):
         ((_, coeff),) = symbolic_det(fig3_slice).terms
-        assert pattern_nonsingular(fig3_slice)
         assert certifying_signature(fig3_slice) == coeff == -1
 
     def test_zero_polynomial(self):
@@ -160,7 +158,7 @@ class TestPolynomialVerdict:
         b = standalone_bipartite(2, [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)], 2)
         p = symbolic_det(b)
         assert p.term_map == {(2, 0): 1, (0, 2): -1}
-        assert not pattern_nonsingular(b) and certifying_signature(b) is None
+        assert certifying_signature(b) is None
         assert evaluate_det(p, [1.0, 1.0]) == 0
 
 
@@ -173,7 +171,6 @@ class TestAgainstRealizations:
             assert det.term_map == class_term_map(b)
             single = det.terms[0][1] if len(det.terms) == 1 else None
             assert certifying_signature(b) == single
-            assert pattern_nonsingular(b) == (single is not None)
             values = sample_color_values(len(b.colors), rng)
             direct = np.linalg.det(pattern_matrix(b, values))
             via_poly = evaluate_det(det, list(values))
@@ -184,7 +181,7 @@ class TestAgainstRealizations:
         found = 0
         while found < 12:
             b = random_bipartite(rng)
-            if not pattern_nonsingular(b):
+            if certifying_signature(b) is None:
                 continue
             found += 1
             t = len(b.x_vertices)
@@ -198,7 +195,7 @@ class TestAgainstRealizations:
         while found < 12:
             b = random_bipartite(rng)
             det = symbolic_det(b)
-            if pattern_nonsingular(b) or det.is_zero():
+            if certifying_signature(b) is not None or det.is_zero():
                 continue
             found += 1
             values = find_singular_realization(det, rng)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -10,19 +13,10 @@ from colored_ssc.analysis import analyze, eeo_to_jsonable
 from colored_ssc.bipartite import slice_signature, symbolic_det
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
 from colored_ssc.edgeops import (
-    ColorMismatchError,
-    EdgeOpError,
-    EmptyEdgeSetError,
-    MixedColorsError,
-    NotNestedError,
+    EeoTrace,
     RemoveEdges,
-    SameColorError,
     TurnColor,
-    UnknownColorError,
     apply_op,
-    apply_remove_edges,
-    apply_turn_color,
-    edges_to_white,
     eeo_derived_set,
     find_edge_ops,
     op_delta,
@@ -43,6 +37,7 @@ from colored_ssc.oracle import (
 
 from conftest import (
     eager_forces,
+    force_mutations,
     labels,
     members1,
     random_bipartite,
@@ -79,83 +74,72 @@ FS_SEED9_501 = {
 }
 
 
-def edge_labels(edges):
-    return sorted((t + 1, h + 1) for t, h, _ in edges)
-
-
-class TestEdgesToWhite:
-    def test_own_fan(self):
-        g = load_fig("fig6a")
-        got = edges_to_white(g, 0, 0, labels(1, 2))
-        assert edge_labels(got) == [(1, 3), (1, 4)]
-
-    def test_cross_fan(self):
-        g = load_fig("fig6b")
-        got = edges_to_white(g, 0, 1, labels(1, 2))
-        assert edge_labels(got) == [(2, 3), (2, 4)]
-
-    def test_no_white_neighbors(self):
-        g = load_fig("fig6a")
-        assert edges_to_white(g, 0, 0, g.full_mask) == ()
+def offered(g: ColoredDigraph, op) -> bool:
+    """Whether ``find_edge_ops`` offers ``op`` at its context, the only
+    precondition an operation has."""
+    return op in find_edge_ops(g, op.context)
 
 
 class TestTurnColor:
     def test_fig6a_to_fig6b(self):
-        g = apply_turn_color(load_fig("fig6a"), 0, 1, labels(1, 2))
-        assert g == load_fig("fig6b")
+        op = TurnColor(u=0, new_color=1, context=labels(1, 2))
+        assert offered(load_fig("fig6a"), op)
+        assert apply_op(load_fig("fig6a"), op) == load_fig("fig6b")
 
     def test_empty_fan_rejected(self):
         g = ColoredDigraph(n=3, edges=((0, 1, 0), (1, 2, 1)), colors=("c1", "c2"))
         # 2's fan is empty once every vertex is black
-        with pytest.raises(EmptyEdgeSetError):
-            apply_turn_color(g, 2, 0, g.full_mask)
+        assert not offered(g, TurnColor(u=2, new_color=0, context=g.full_mask))
 
     def test_mixed_colors_rejected(self):
-        with pytest.raises(MixedColorsError):
-            apply_turn_color(load_fig("fig6a"), 1, 0, labels(1, 2))
+        # vertex 2's white fan holds c1 and c2, so no recoloring of it is offered
+        ops = find_edge_ops(load_fig("fig6a"), labels(1, 2))
+        assert not [op for op in ops if isinstance(op, TurnColor) and op.u == 1]
 
     def test_same_color_rejected(self):
-        with pytest.raises(SameColorError):
-            apply_turn_color(load_fig("fig6a"), 0, 0, labels(1, 2))
+        assert not offered(load_fig("fig6a"), TurnColor(u=0, new_color=0, context=labels(1, 2)))
 
     def test_unknown_color_rejected(self):
-        with pytest.raises(UnknownColorError):
-            apply_turn_color(load_fig("fig6a"), 0, 5, labels(1, 2))
+        assert not offered(load_fig("fig6a"), TurnColor(u=0, new_color=5, context=labels(1, 2)))
 
     def test_emptied_cell_dropped(self):
         g = ColoredDigraph(
             n=3, edges=((0, 1, 0), (0, 2, 0), (1, 2, 1)), colors=("c1", "c2")
         )
-        out = apply_turn_color(g, 0, 1, labels(1))  # whole c1 cell is 1's white fan
+        op = TurnColor(u=0, new_color=1, context=labels(1))  # whole c1 cell is 1's white fan
+        assert offered(g, op)
+        out = apply_op(g, op)
         assert out.colors == ("c2",)
         assert {c for _, _, c in out.edges} == {0}
 
 
 class TestRemoveEdges:
     def test_fig6b_to_fig6c(self):
-        g = apply_remove_edges(load_fig("fig6b"), 0, 1, labels(1, 2))
-        assert g == load_fig("fig6c")
+        op = RemoveEdges(u=0, v=1, context=labels(1, 2))
+        assert offered(load_fig("fig6b"), op)
+        assert apply_op(load_fig("fig6b"), op) == load_fig("fig6c")
 
     def test_fig7a_removal(self):
-        g = apply_remove_edges(load_fig("fig7a"), 6, 0, labels(1, 2, 5, 6, 7))
-        assert g == load_fig("fig7b")
+        op = RemoveEdges(u=6, v=0, context=labels(1, 2, 5, 6, 7))
+        assert offered(load_fig("fig7a"), op)
+        assert apply_op(load_fig("fig7a"), op) == load_fig("fig7b")
 
     def test_vacuous_removal_is_identity(self):
+        # vertex 3 has no white fan, so removing it would change nothing;
+        # no such removal is offered, and every offered operation changes g
         g = load_fig("fig6a")
         black = labels(1, 2, 3, 4, 5)
-        assert apply_remove_edges(g, 2, 0, black) == g  # vertex 3 has no white fan
+        assert not offered(g, RemoveEdges(u=2, v=0, context=black))
+        assert all(apply_op(g, op) != g for op in find_edge_ops(g, black))
 
     def test_not_nested_rejected(self):
-        with pytest.raises(NotNestedError):
-            apply_remove_edges(load_fig("fig6b"), 1, 0, labels(1, 2))
+        assert not offered(load_fig("fig6b"), RemoveEdges(u=1, v=0, context=labels(1, 2)))
 
     def test_color_mismatch_rejected(self):
-        with pytest.raises(ColorMismatchError):
-            apply_remove_edges(load_fig("fig6a"), 0, 1, labels(1, 2))
+        assert not offered(load_fig("fig6a"), RemoveEdges(u=0, v=1, context=labels(1, 2)))
 
     def test_same_vertex_rejected(self):
-        with pytest.raises(EdgeOpError):
-            apply_remove_edges(load_fig("fig6a"), 0, 0, labels(1, 2))
+        assert not offered(load_fig("fig6a"), RemoveEdges(u=0, v=0, context=labels(1, 2)))
 
 
 class TestFindEdgeOps:
@@ -339,9 +323,9 @@ class TestStageMemo:
     def test_key_ignores_palette_numbering(self):
         # c1 empties when vertex 1's fan turns c2, so the palette renumbers
         g = ColoredDigraph(n=3, edges=((0, 1, 0), (0, 2, 0), (1, 2, 1)), colors=("c1", "c2"))
-        derived = apply_turn_color(g, 0, 1, labels(1))
-        assert derived.colors == ("c2",)
         op = TurnColor(u=0, new_color=1, context=labels(1))
+        derived = apply_op(g, op)
+        assert derived.colors == ("c2",)
         assert stage_key(derived, labels(1))[2] == stage_key(g, labels(1))[2] ^ op_delta(g, op)
 
     def test_key_tells_palettes_apart(self):
@@ -644,6 +628,68 @@ class TestRecoloredRoots:
             checked += 1
             nonsingular += signature is not None
         assert checked > 250 and nonsingular > 20
+
+
+def replay_mutations(trace: EeoTrace):
+    """(name, trace) for each way of breaking ``trace`` that applies to it:
+    at the first force of each derivation, and at each operation."""
+    graphs, derivations, ops = trace.graphs, trace.derivations, trace.ops
+    for i, derivation in enumerate(derivations):
+        for name, changed in force_mutations(derivation):
+            changed_all = (*derivations[:i], changed, *derivations[i + 1 :])
+            yield name, replace(trace, derivations=changed_all)
+    if ops:
+        yield "dropped op", replace(trace, ops=ops[:-1])
+        yield "dropped stage graph", replace(trace, graphs=graphs[:-1])
+    for i, op in enumerate(ops):
+        g, black = graphs[i], op.context
+
+        def with_op(bad):
+            return replace(trace, ops=(*ops[:i], bad, *ops[i + 1 :]))
+
+        # the stuck set is never all of V, or no operation would apply
+        yield "wrong context", with_op(replace(op, context=g.full_mask))
+        white = (g.full_mask & ~black).bit_length() - 1
+        yield "removal with a white u", with_op(RemoveEdges(u=white, v=op.u, context=black))
+        yield "removal with v out of range", with_op(RemoveEdges(u=op.u, v=g.n, context=black))
+        yield "removal with u == v", with_op(RemoveEdges(u=op.u, v=op.u, context=black))
+        yield "recolor to an unknown color", with_op(
+            TurnColor(u=op.u, new_color=len(g.colors), context=black)
+        )
+        for u in iter_vset(black):
+            fan_colors = {c for h, c in g.out_edges[u] if not black >> h & 1}
+            if len(fan_colors) == 1:
+                yield "recolor to the same color", with_op(
+                    TurnColor(u=u, new_color=fan_colors.pop(), context=black)
+                )
+                break
+
+
+class TestReplayMutations:
+    """A certificate replays only as the search built it: each mutation
+    makes ``replay_ok`` return False, and none makes it raise."""
+
+    def test_mutations_rejected(self):
+        # the corpus certificates and the first ten sweep certificates with
+        # an operation or two forces in one derivation
+        corpus = map(load_fig, ("fig4", "fig5", "fig7a", "fig8"))
+        traces = [eeo_derived_set(g, g.leader_mask) for g in corpus]
+        sweep = (eeo_derived_set(g, g.leader_mask, budget=200) for g in sweep_graphs())
+        wanted = (
+            t
+            for t in sweep
+            if t.complete and (t.ops or max(len(d.steps) for d in t.derivations) > 1)
+        )
+        traces += islice(wanted, 10)
+        assert len(traces) == 14 and sum(bool(t.ops) for t in traces) >= 3
+        seen: dict[str, int] = {}
+        for trace in traces:
+            assert trace.complete and trace.replay_ok()
+            for name, mutated in replay_mutations(trace):
+                assert mutated.replay_ok() is False, name
+                seen[name] = seen.get(name, 0) + 1
+        assert len(seen) == 12
+        assert all(seen[name] >= 10 for name in ("dropped force", "changed signature"))
 
 
 class TestAnalyze:

@@ -40,6 +40,7 @@ from conftest import (
     all_subsets_forces,
     classic_derived_set,
     eager_forces,
+    force_mutations,
     irreducible,
     labels,
     members1,
@@ -478,6 +479,18 @@ class TestGreedyDerivation:
         trace = derived_set_greedy(g, labels(*range(1, 14)))
         assert not trace.truncated
         assert trace.final == g.full_mask
+
+    def test_mutated_traces_rejected(self):
+        # a greedy trace replays at every step, and its replay compares the
+        # whole force: each mutation of its first force returns False
+        seen: dict[str, int] = {}
+        for g in sweep_graphs():
+            trace = derived_set_greedy(g, g.leader_mask)
+            assert trace.replay_ok(g)
+            for name, mutated in force_mutations(trace):
+                assert mutated.replay_ok(g) is False, name
+                seen[name] = seen.get(name, 0) + 1
+        assert len(seen) == 4 and min(seen.values()) > 20
 
 
 class TestZeroForcingSet:
