@@ -10,14 +10,16 @@ original leader set.
 
 :func:`find_edge_ops` is the rule; replay checks membership.  It alone
 encodes when an operation applies; :func:`apply_op` applies it unchecked.
+The search (:func:`eeo_derived_set`) works modulo recoloring: its moves
+are removals, each alone or after the one recoloring that makes its colors
+match, and it keys stages with the color of every one-color white fan of a
+black vertex left out.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .forcing import DerivationTrace, derivation_outcomes
 from .graph import ColoredDigraph, iter_vset
@@ -102,48 +104,6 @@ def apply_op(g: ColoredDigraph, op: EdgeOp) -> ColoredDigraph:
     return _rebuild(g, op.v, row, tuple(masks))
 
 
-@lru_cache(maxsize=1 << 16)
-def _edge_key(tail: int, head: int, name: str) -> int:
-    """Deterministic 128-bit Zobrist key of one edge, keyed by color name so
-    that the palette renumbering of :func:`_rebuild` does not change it."""
-    return random.Random(f"{tail} {head} {name}").getrandbits(128)
-
-
-StageKey = tuple[int, frozenset[str], int]
-
-
-def stage_key(g: ColoredDigraph, black: int) -> StageKey:
-    """What the search below a stage (g, black) can read.
-
-    That is the black set, the color names on edges into it (those edges
-    never change below the stage, and their colors stay in the palette that
-    recoloring may target) and the XOR of the edge keys of every edge whose
-    head is outside it.
-    """
-    names = set()
-    code = 0
-    for tail, head, color in g.edges:
-        if black >> head & 1:
-            names.add(g.colors[color])
-        else:
-            code ^= _edge_key(tail, head, g.colors[color])
-    return black, frozenset(names), code
-
-
-def op_delta(g: ColoredDigraph, op: EdgeOp) -> int:
-    """How ``op`` changes the edge hash of :func:`stage_key` at its context:
-    the XOR of the keys of the fan edges it recolors or deletes."""
-    white = g.out_masks[op.u] & ~op.context
-    tail = op.u if isinstance(op, TurnColor) else op.v
-    delta = 0
-    for head, color in g.out_edges[tail]:
-        if white >> head & 1:
-            delta ^= _edge_key(tail, head, g.colors[color])
-            if isinstance(op, TurnColor):
-                delta ^= _edge_key(tail, head, g.colors[op.new_color])
-    return delta
-
-
 def find_edge_ops(g: ColoredDigraph, black: int) -> list[EdgeOp]:
     """All effective operations at ``black``: removals first, then recolorings.
 
@@ -183,8 +143,9 @@ class EeoTrace:
 
     ``graphs[i]`` is the stage graph on which ``derivations[i]`` ran;
     ``ops[i]`` transformed ``graphs[i]`` into ``graphs[i+1]`` and was
-    validated against ``derivations[i].final``.  ``final`` is the last
-    derivation's black set.
+    validated against ``derivations[i].final``.  The recolored graph
+    between the two ops of a pair carries the empty derivation at the
+    stuck set.  ``final`` is the last derivation's black set.
     """
 
     graphs: tuple[ColoredDigraph, ...]
@@ -217,26 +178,75 @@ class EeoTrace:
         return True
 
 
-def _edge_moves(graph: ColoredDigraph, stuck: list[DerivationTrace], key: StageKey):
-    """Each stuck set's operations, in order, as (derivation, op, stage key
-    of the stage the op leads to); ``key`` is the stage's own key, which a
-    stuck set equal to its black set shares."""
+# A tail's edges into white vertices: its head mask when it is black and
+# they have at most one color, else (head, color name) pairs.
+Row = int | tuple[tuple[int, str], ...]
+StageKey = tuple[int, tuple[Row, ...]]
+
+
+def _row(g: ColoredDigraph, tail: int, black: int, gone: int = 0) -> Row:
+    """The :data:`Row` of ``tail`` at ``black`` once the edges toward
+    ``gone`` are removed."""
+    white = g.out_masks[tail] & ~(black | gone)
+    fan = [(head, color) for head, color in g.out_edges[tail] if white >> head & 1]
+    if black >> tail & 1 and len({color for _, color in fan}) <= 1:
+        return white
+    return tuple((head, g.colors[color]) for head, color in fan)
+
+
+def wildcard_key(g: ColoredDigraph, black: int) -> StageKey:
+    """Exactly what the search below a stage (g, black) can read.
+
+    That is the black set and each vertex's edges into white vertices, by
+    color name, so that the palette renumbering of :func:`_rebuild` does not
+    change it; the color of a one-color white fan of a black vertex is a
+    wildcard (see :func:`eeo_derived_set`).  Edges into the black set enter
+    no slice and never change below the stage.
+    """
+    return black, tuple(_row(g, tail, black) for tail in range(g.n))
+
+
+def _moves(graph: ColoredDigraph, stuck: list[DerivationTrace], key: StageKey | None):
+    """Each stuck set's moves, in order, as (derivation, steps, key of the
+    stage the move builds); ``key`` is the stage's own key, which a stuck
+    set equal to its black set shares, or None at the root.
+
+    ``steps`` holds (op, graph it applies to) pairs: a removal that
+    :func:`find_edge_ops` offers at the stuck set, or one of its recolorings
+    followed by a removal of the recolored vertex that it offers on the
+    recolored graph.  The row of a recolored fan is a wildcard, so only
+    the removal's tail ``v`` gets a new row in the key.
+    """
     for derivation in stuck:
-        if derivation.final == key[0]:
-            final, names, code = key
-        else:
-            final, names, code = stage_key(graph, derivation.final)
+        final = derivation.final
+        rows = (key if key is not None and final == key[0] else wildcard_key(graph, final))[1]
         for op in find_edge_ops(graph, final):
-            yield derivation, op, (final, names, code ^ op_delta(graph, op))
+            if isinstance(op, RemoveEdges):
+                moves = [((op, graph),)]
+            else:
+                recolored = apply_op(graph, op)
+                moves = [
+                    ((op, graph), (removal, recolored))
+                    for removal in find_edge_ops(recolored, final)
+                    if isinstance(removal, RemoveEdges) and removal.u == op.u
+                ]
+            for steps in moves:
+                u, v = steps[-1][0].u, steps[-1][0].v
+                row = _row(graph, v, final, graph.out_masks[u])
+                yield derivation, steps, (final, (*rows[:v], row, *rows[v + 1 :]))
 
 
 def _trace(path: list[list], graph: ColoredDigraph, derivation: DerivationTrace) -> EeoTrace:
-    """The trace along ``path`` that ends with ``derivation`` on ``graph``."""
-    return EeoTrace(
-        graphs=(*(frame[0] for frame in path), graph),
-        derivations=(*(frame[1][0] for frame in path), derivation),
-        ops=tuple(frame[1][1] for frame in path),
-    )
+    """The trace along ``path`` that ends with ``derivation`` on ``graph``.
+    A recolored graph's derivation is the empty one at its stuck set."""
+    graphs, derivations, ops = [], [], []
+    for _, (reached, steps, _), _ in path:
+        for op, stage in steps:
+            graphs.append(stage)
+            derivations.append(reached)
+            ops.append(op)
+            reached = DerivationTrace(reached.final, (), reached.final)
+    return EeoTrace((*graphs, graph), (*derivations, derivation), tuple(ops))
 
 
 def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) -> EeoTrace:
@@ -244,58 +254,64 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
 
     Each stage first searches force derivations; if none reaches V the
     search branches over every maximal derived set, largest first, and
-    every applicable operation on it, depth first along an explicit path of
-    frames [stage graph, move taken, moves left].  The root stage is the
-    zero-forcing test of ``black``.  Returns the trace with the largest
-    final black set found, preferring complete ones.  Only a stage's first
-    stuck set can be larger than the best so far, so a trace is built from
-    the path only then; for the same reason, once the ``budget`` of stages
-    (the root one included; 10 000 when None) is spent, no set left on the
-    path can be, and the best trace is returned at once, flagged, instead of
-    raising.  A budget below 1 raises ValueError.
+    every move on it, depth first along an explicit path of frames [stage
+    graph, move taken, moves left].  The root stage is the zero-forcing test
+    of ``black``.  Returns the trace with the largest final black set found,
+    preferring complete ones.  Only a stage's first stuck set can be larger
+    than the best so far, so a trace is built from the path only then; for
+    the same reason, once the ``budget`` of stages (the root one included;
+    10 000 when None) is spent, no set left on the path can be, and the
+    best trace is returned at once, flagged, instead of raising.  A budget
+    below 1 raises ValueError.
 
-    Stages are memoized on :func:`stage_key`, all a stage's subtree can
-    read; an operation updates the key's edge hash by :func:`op_delta`, a
-    stage graph is built only when its key is new, and that key serves
-    the new stage's own stuck set at its black set.  A stage reached by an
-    operation starts at the stuck set C the operation was validated
-    against, where its parent stage had no force.  A recoloring moves u's
-    white fan, all of one color x_old, to the color x_new and keeps every
-    reach mask.  In a slice whose source holds u, row u is exactly that fan,
-    and the determinant is linear in that row, so it becomes x_new/x_old
-    times the parent's: the same number of terms, the same coefficients.
-    Slices without u do not change, and the walk at C lists what the
-    parent's walk listed there without error.  So a recoloring's stage is
-    stuck at C, and no force search runs there.  A removal changes only
-    the out-edges of v into white vertices, so at C only sources that
-    contain v are tested (see :func:`derivation_outcomes`).  A stage graph
-    shares its parent's rows (:attr:`ColoredDigraph.out_edges` and
-    ``out_masks``) but the tail's.  A repeated key is either an ancestor,
-    then the same graph, or a finished stage, whose subtree found no
-    certificate and no larger set, so skipping it changes nothing but the
-    work; the budget counts distinct stages.  A hash collision can only
-    skip a stage, never admit a certificate: every certificate replays.
+    The search works modulo recoloring.  Take a black vertex u whose white
+    fan has one color.  Fans only shrink as the black set grows and edges
+    are removed, and only a recoloring of u changes their colors, so u's fan
+    keeps one color below the stage.  In a slice whose source holds u, row u
+    lies inside that fan, so the determinant is c * h, with c the fan's
+    color and h free of it: whether it is one monomial, and its coefficient,
+    do not depend on c.  So a recoloring matters only when it makes a
+    removal's colors match.  The moves (see :func:`_moves`) are the removals
+    (u, v) whose colors match, and the pairs that turn u's one-color fan to
+    the one color x of v's edges toward it and then remove (u, v); if v's
+    fan has one color, so do those edges, and if u's has two, no recoloring
+    helps.  A certificate keeps both ops of a pair, with the empty
+    derivation at the stuck set C between them.
+
+    Two stages that differ only in the colors of one-color white fans of
+    black vertices have the same moves and subtrees, up to the recolorings
+    of pairs, so stages are memoized on :func:`wildcard_key`, which is
+    exact; a stage graph is built only when its key is new.  Every removal
+    deletes an edge, so no key repeats along a path: a repeated key is a
+    finished stage, whose subtree found no certificate and no larger set,
+    and skipping it changes nothing but the work.  The root's key is never
+    met again and is not memoized.  The budget counts the distinct stages
+    searched, one per move.
+
+    A stage starts at the stuck set C its move was validated against, where
+    the parent stage had no force, and a recolored graph has none there
+    either, by the argument above.  A removal changes only the out-edges of
+    v into white vertices, so at C only sources that contain v are tested
+    (see :func:`derivation_outcomes`).  A stage graph shares its parent's
+    rows (:attr:`ColoredDigraph.out_edges` and ``out_masks``) but the
+    tail's.
     """
     limit = 10_000 if budget is None else budget
     if limit < 1:
         raise ValueError(f"edge-operation budget must be >= 1, got {limit}")
-    key = stage_key(g, black)
-    memo: set[StageKey] = {key}
+    memo: set[StageKey] = set()
     best: EeoTrace | None = None
     path: list[list] = []
-    graph, states, op = g, 1, None
+    graph, stages, changed, key = g, 1, -1, None
     while True:
-        if isinstance(op, TurnColor):
-            witness, stuck = None, [DerivationTrace(black, (), black)]
-        else:
-            witness, stuck = derivation_outcomes(graph, black, -1 if op is None else 1 << op.v)
+        witness, stuck = derivation_outcomes(graph, black, changed)
         if witness is not None:
             return _trace(path, graph, witness)
         # Prefer branching from larger derived sets; ties break on the mask.
         stuck.sort(key=lambda d: (-d.final.bit_count(), d.final))
         if best is None or stuck[0].final.bit_count() > best.final.bit_count():
             best = _trace(path, graph, stuck[0])
-        path.append([graph, None, _edge_moves(graph, stuck, key)])
+        path.append([graph, None, _moves(graph, stuck, key)])
         while path:
             frame = path[-1]
             move = next(frame[2], None)
@@ -307,9 +323,10 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
                 break
         else:
             return best
-        if states == limit:
+        if stages == limit:
             return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True)
-        states += 1
-        memo.add(move[2])
-        derivation, op, key = move
-        graph, black = apply_op(frame[0], op), derivation.final
+        stages += 1
+        derivation, steps, key = move
+        memo.add(key)
+        removal, stage = steps[-1]
+        graph, black, changed = apply_op(stage, removal), derivation.final, 1 << removal.v

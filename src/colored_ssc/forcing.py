@@ -59,10 +59,16 @@ class DerivationTrace:
     def replay_ok(self, g: ColoredDigraph) -> bool:
         """Re-validate every step against the graph it claims to derive
         from: each force, signature included, is the one its source
-        certifies at the black set before it."""
+        certifies at the black set before it.  A vertex outside ``g``, or a
+        source wider than ``ENUMERATION_CAP``, which no search emits, is
+        rejected rather than raising."""
         black = self.initial
+        if black & ~g.full_mask:
+            return False
         for force in self.steps:
             if not force.source or force.source & ~black:
+                return False
+            if force.source.bit_count() > ENUMERATION_CAP:
                 return False
             if is_color_perfect(g, force.source, black) != force:
                 return False
@@ -318,10 +324,11 @@ def derivation_outcomes(
     source has the same slice on both graphs, and ``g`` lists no subset
     without them that the other graph's walk, which has every candidate
     ``g`` has and no smaller limit, did not.  The edge-operation search
-    passes it for the tail ``v`` of a removal only: a recoloring's stage is
-    not searched at all, since multiplying one row of every slice through
-    its tail by x_new/x_old, as a recoloring does, keeps each determinant's
-    terms and coefficients (see :func:`colored_ssc.edgeops.eeo_derived_set`).
+    passes the tail ``v`` of the removal that built the stage.  When a
+    recoloring came first, ``black`` had no force on the recolored graph
+    either: recoloring a one-color fan multiplies one row of every slice
+    through its tail by a constant, which keeps each determinant's terms
+    and coefficients (see :func:`colored_ssc.edgeops.eeo_derived_set`).
     """
     start, full = black, g.full_mask
     dead: set[int] = set()

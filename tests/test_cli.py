@@ -143,8 +143,9 @@ class TestCheck:
     def test_deep_search_gets_a_verdict(self, capsys, tmp_path):
         # leaders 1 and 2 share a one-color fan to 3 and 4 that no force can
         # pass, and the path 5 -> ... -> 38 -> 3 gives the fan 34 more colors
-        # to turn to: the edge-operation search walks deeper than the
-        # interpreter's recursion limit before it exhausts the space
+        # to turn to: a search with every recoloring a stage of its own walks
+        # deeper than the interpreter's recursion limit, and the search
+        # modulo recoloring exhausts the space in 3 stages
         edges = [[1, 3, 1], [1, 4, 1], [2, 3, 1], [2, 4, 1]]
         edges += [[v, v + 1, v - 3] for v in range(5, 38)] + [[38, 3, 35]]
         colors = [f"c{i}" for i in range(1, 36)]

@@ -19,11 +19,11 @@ from colored_ssc.edgeops import (
     apply_op,
     eeo_derived_set,
     find_edge_ops,
-    op_delta,
-    stage_key,
+    wildcard_key,
 )
 from colored_ssc.forcing import (
     DerivationTrace,
+    Force,
     derivation_outcomes,
     derived_set_greedy,
     is_zero_forcing_set,
@@ -51,7 +51,8 @@ from conftest import (
 
 # forcing-scale seed 9 graph 501 of perfbench/workloads.py (n = 18, 3 colors):
 # its search ends UNDECIDED by exhausting the space.  Memoized on exact
-# (graph, black set) states it expands 4,698 stages.
+# (graph, black set) states it expands 4,698 stages, with every recoloring a
+# stage of its own 486, and modulo recoloring 3.
 FS_SEED9_501 = {
     "n": 18,
     "colors": ["c1", "c2", "c3"],
@@ -71,6 +72,64 @@ FS_SEED9_501 = {
         [17, 14, 2], [18, 5, 2], [18, 12, 1], [18, 16, 3],
     ],
     "leaders": [1, 2, 3, 4, 6, 8, 12, 15, 18],
+}
+
+
+# forcing-scale seed 2 graph 2290 and seed 8 graph 2807 (n = 19 and 20, 3
+# colors): with every recoloring a stage of its own, both searches spent the
+# whole 10 000-stage budget; modulo recoloring they exhaust the space.
+FS_SEED2_2290 = {
+    "n": 19,
+    "colors": ["c1", "c2", "c3"],
+    "edges": [
+        [1, 7, 3], [1, 8, 3], [2, 6, 3], [2, 10, 2], [2, 16, 1], [2, 19, 2], [3, 7, 1],
+        [3, 19, 2], [4, 1, 1], [4, 13, 1], [4, 16, 2], [5, 1, 2], [5, 2, 1], [5, 7, 1],
+        [5, 8, 2], [5, 11, 3], [5, 13, 3], [5, 16, 1], [5, 17, 1], [6, 5, 2], [6, 11, 1],
+        [6, 13, 2], [6, 15, 2], [6, 16, 1], [7, 11, 3], [7, 15, 2], [8, 1, 1], [8, 3, 3],
+        [8, 5, 1], [8, 6, 2], [8, 11, 2], [8, 14, 1], [8, 15, 2], [8, 16, 1], [8, 19, 2],
+        [9, 7, 2], [9, 8, 2], [9, 12, 3], [9, 13, 1], [9, 14, 2], [10, 2, 1], [10, 9, 1],
+        [11, 2, 3], [11, 9, 3], [11, 10, 3], [11, 12, 2], [11, 16, 2], [12, 13, 2], [13, 2, 1],
+        [13, 8, 1], [13, 14, 1], [13, 16, 2], [14, 2, 3], [14, 4, 3], [14, 13, 2], [14, 16, 1],
+        [14, 18, 3], [14, 19, 1], [15, 4, 3], [15, 6, 2], [15, 11, 2], [15, 14, 2], [16, 7, 2],
+        [16, 9, 1], [16, 12, 1], [16, 15, 3], [16, 17, 1], [17, 4, 3], [17, 7, 1], [17, 15, 1],
+        [18, 1, 3], [18, 8, 2], [18, 9, 3], [18, 11, 2], [18, 14, 3], [18, 16, 3], [19, 1, 3],
+        [19, 3, 1], [19, 4, 3], [19, 8, 1], [19, 15, 1],
+    ],
+    "leaders": [1, 4, 6, 10, 11, 12, 14, 17, 19],
+}
+
+FS_SEED8_2807 = {
+    "n": 20,
+    "colors": ["c1", "c2", "c3"],
+    "edges": [
+        [1, 9, 2], [1, 19, 3], [1, 20, 1], [2, 1, 3], [2, 3, 2], [2, 7, 1], [2, 8, 1],
+        [2, 11, 2], [2, 13, 2], [2, 20, 3], [3, 4, 3], [4, 3, 1], [4, 10, 1], [4, 12, 3],
+        [5, 2, 3], [5, 6, 3], [5, 9, 2], [5, 13, 1], [6, 4, 3], [6, 7, 2], [6, 10, 2],
+        [6, 13, 3], [6, 15, 1], [7, 1, 1], [7, 3, 2], [7, 6, 1], [7, 10, 2], [8, 7, 1],
+        [8, 13, 2], [8, 14, 2], [9, 1, 3], [9, 2, 1], [9, 3, 2], [9, 4, 1], [9, 6, 2],
+        [9, 11, 2], [10, 3, 1], [10, 6, 1], [10, 14, 3], [10, 15, 3], [10, 16, 1], [10, 17, 2],
+        [10, 18, 1], [11, 9, 1], [11, 13, 3], [11, 15, 2], [11, 19, 2], [11, 20, 3],
+        [12, 1, 3], [12, 3, 1], [12, 5, 1], [12, 7, 3], [12, 15, 3], [12, 16, 1], [12, 19, 1],
+        [12, 20, 3], [13, 1, 2], [13, 2, 1], [13, 5, 3], [13, 7, 2], [14, 3, 2], [14, 6, 3],
+        [14, 9, 2], [14, 16, 2], [14, 20, 3], [15, 3, 1], [15, 6, 1], [15, 8, 2], [15, 11, 1],
+        [15, 12, 2], [16, 2, 3], [16, 3, 3], [16, 4, 3], [16, 5, 2], [16, 11, 3], [16, 17, 3],
+        [16, 18, 2], [17, 6, 2], [17, 12, 2], [17, 15, 1], [18, 11, 1], [18, 15, 1],
+        [19, 2, 3], [19, 3, 1], [19, 6, 1], [19, 9, 3], [19, 16, 1], [20, 5, 1], [20, 7, 3],
+        [20, 8, 3], [20, 9, 3],
+    ],
+    "leaders": [4, 5, 11, 12, 13, 15, 17, 18, 19, 20],
+}
+
+# leaders 1-3 share one c1 fan to 4-6 that no force can pass, and the path
+# 7 -> ... -> 36 -> 4 gives the fan 30 more colors to turn to; with every
+# recoloring a stage of its own, the search spent the whole budget.
+PATH36 = {
+    "n": 36,
+    "colors": [f"c{i}" for i in range(1, 32)],
+    "edges": [[t, h, 1] for t in (1, 2, 3) for h in (4, 5, 6)]
+    + [[v, v + 1, v - 5] for v in range(7, 36)]
+    + [[36, 4, 31]],
+    "leaders": [1, 2, 3],
 }
 
 
@@ -305,41 +364,102 @@ class TestEeoDerivation:
                 assert trace.ops[i].context == black
 
 
-class TestStageMemo:
-    """The search memoizes stages on what their subtree can read."""
+def planted_pair_graph(rng: np.random.Generator) -> ColoredDigraph:
+    """A random graph whose leaders 1 and 2 are stuck, with the one move a
+    pair: 1's fan {3, 4} is c1, 2's is {3, 4} in c2 and 5 in c3, so turning
+    1's fan to c2 lets 1 remove 2's edges to 3 and 4, and 2 then forces 5.
+    The other edges leave vertices 3 and up, in random colors."""
+    n = int(rng.integers(6, 11))
+    edges = [(0, 2, 0), (0, 3, 0), (1, 2, 1), (1, 3, 1), (1, 4, 2)]
+    edges += [
+        (t, h, int(rng.integers(0, 3)))
+        for t in range(2, n)
+        for h in range(n)
+        if t != h and rng.random() < 0.3
+    ]
+    return ColoredDigraph(n=n, edges=edges, colors=("c1", "c2", "c3"), leaders=(0, 1))
 
-    def test_incremental_key_matches_rebuilt_graph(self):
+
+def stage_moves(g: ColoredDigraph, black: int) -> list:
+    """The search's moves at a stuck set ``black`` of ``g``."""
+    return list(edgeops._moves(g, [DerivationTrace(black, (), black)], None))
+
+
+class TestStageMemo:
+    """The search memoizes stages on all their subtree can read: the black
+    set and the edges into white vertices, with the color of each one-color
+    white fan of a black vertex a wildcard."""
+
+    def test_one_color_fan_is_a_wildcard(self):
+        # fig6a and fig6b differ only in vertex 1's white fan, one color at
+        # C = {1, 2}, as a graph and its image under any recoloring
+        # find_edge_ops offers do
+        black = labels(1, 2)
+        assert wildcard_key(load_fig("fig6a"), black) == wildcard_key(load_fig("fig6b"), black)
         rng = np.random.default_rng(83)
         checked = 0
         for _ in range(300):
             g = random_digraph(rng, n_max=10, with_leaders=False)
             black = int(rng.integers(1, g.full_mask + 1))
-            _, names, code = stage_key(g, black)
             for op in find_edge_ops(g, black):
-                assert stage_key(apply_op(g, op), black) == (black, names, code ^ op_delta(g, op))
-                checked += 1
+                if isinstance(op, TurnColor):
+                    assert wildcard_key(apply_op(g, op), black) == wildcard_key(g, black)
+                    checked += 1
         assert checked > 300
 
-    def test_key_ignores_palette_numbering(self):
-        # c1 empties when vertex 1's fan turns c2, so the palette renumbers
-        g = ColoredDigraph(n=3, edges=((0, 1, 0), (0, 2, 0), (1, 2, 1)), colors=("c1", "c2"))
-        op = TurnColor(u=0, new_color=1, context=labels(1))
-        derived = apply_op(g, op)
-        assert derived.colors == ("c2",)
-        assert stage_key(derived, labels(1))[2] == stage_key(g, labels(1))[2] ^ op_delta(g, op)
+    def test_other_recolored_edges_change_the_key(self):
+        # at C = {1}: vertex 1's white fan holds c1 and c2, and vertex 2 is
+        # white; recoloring one edge of either changes the key
+        colors = ("c1", "c2")
+        g = ColoredDigraph(n=4, edges=((0, 1, 0), (0, 2, 1), (1, 3, 0)), colors=colors)
+        mixed = ColoredDigraph(n=4, edges=((0, 1, 1), (0, 2, 1), (1, 3, 0)), colors=colors)
+        white = ColoredDigraph(n=4, edges=((0, 1, 0), (0, 2, 1), (1, 3, 1)), colors=colors)
+        black = labels(1)
+        assert wildcard_key(mixed, black) != wildcard_key(g, black)
+        assert wildcard_key(white, black) != wildcard_key(g, black)
+        # once vertex 2 is black, its fan has one color and is a wildcard
+        assert wildcard_key(white, labels(1, 2)) == wildcard_key(g, labels(1, 2))
 
-    def test_key_tells_palettes_apart(self):
-        # the same edges outside C = {1, 2}, but the edge into C names the
-        # color that vertex 1's fan may turn to
-        g1 = ColoredDigraph(n=3, edges=((0, 1, 0), (0, 2, 1)), colors=("a", "b"))
-        g2 = ColoredDigraph(n=3, edges=((0, 1, 1), (0, 2, 0)), colors=("b", "c"))
-        black = labels(1, 2)
-        assert stage_key(g1, black)[2] == stage_key(g2, black)[2]
-        assert stage_key(g1, black) != stage_key(g2, black)
-        assert [op.describe(g1) for op in find_edge_ops(g1, black)] == ["turn-color u=1 to a"]
-        assert [op.describe(g2) for op in find_edge_ops(g2, black)] == ["turn-color u=1 to c"]
+    def test_key_ignores_palette_numbering(self):
+        # the same edges by color name under two numberings of the palette
+        edges = ((0, 1, 0), (0, 2, 1), (1, 2, 2), (2, 0, 1))
+        g = ColoredDigraph(n=3, edges=edges, colors=("a", "b", "c"))
+        swap = {0: 2, 1: 1, 2: 0}
+        renamed = ColoredDigraph(
+            n=3, edges=tuple((t, h, swap[c]) for t, h, c in edges), colors=("c", "b", "a")
+        )
+        for black in range(1, g.full_mask + 1):
+            assert wildcard_key(renamed, black) == wildcard_key(g, black)
+
+    def test_incremental_key_matches_rebuilt_graph(self):
+        # a move's key is its stuck set's with the removal tail's row
+        # replaced, and every op of a move is one find_edge_ops offers on
+        # the graph it applies to
+        rng = np.random.default_rng(83)
+        plain = pairs = renumbered = 0
+        for _ in range(300):
+            g = random_digraph(rng, n_max=10, with_leaders=False)
+            black = int(rng.integers(1, g.full_mask + 1))
+            for _, steps, key in stage_moves(g, black):
+                for op, graph in steps:
+                    assert op in find_edge_ops(graph, black)
+                (turn, _), (removal, recolored) = steps[0], steps[-1]
+                assert isinstance(removal, RemoveEdges)
+                child = apply_op(recolored, removal)
+                assert key == wildcard_key(child, black)
+                if len(steps) == 2:
+                    assert isinstance(turn, TurnColor) and turn.u == removal.u
+                    assert recolored == apply_op(g, turn)
+                pairs += len(steps) == 2
+                plain += len(steps) == 1
+                renumbered += len(child.colors) < len(g.colors)
+        assert plain > 100 and pairs > 100 and renumbered > 5
 
     def test_matches_exact_state_search(self, monkeypatch):
+        # wherever the search over exact (graph, black set) states, which
+        # applies every operation, finishes, the search modulo recoloring
+        # finishes with the same completeness and final set; its ops may
+        # come in another order
         stages = []
         original = edgeops.derivation_outcomes
 
@@ -349,30 +469,55 @@ class TestStageMemo:
 
         monkeypatch.setattr(edgeops, "derivation_outcomes", counting)
         rng = np.random.default_rng(5)
-        exhausted = finished = deduplicated = 0
-        for trial in range(400):
-            g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
-            black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
+        exhausted = finished = fewer = paired = 0
+        for trial in range(600):
+            if trial % 3:
+                g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
+                black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
+            else:
+                g = planted_pair_graph(rng)
+                black = g.leader_mask
             budget = (1, 4, 30, 300)[trial % 4]
             want, reference_stages = reference_eeo_derived_set(g, black, budget)
             stages.clear()
             got = eeo_derived_set(g, black, budget=budget)
+            assert got.replay_ok()
             if want.budget_exhausted:
                 exhausted += 1
-                assert got.replay_ok()
                 assert got.final.bit_count() >= want.final.bit_count()
             else:
                 finished += 1
-                assert got == want
-                # a stage key repeated with another graph was expanded once
-                deduplicated += len(stages) < reference_stages
-        assert exhausted > 10 and finished > 10 and deduplicated > 0
+                assert (got.complete, got.final) == (want.complete, want.final)
+                assert not got.budget_exhausted
+                fewer += len(stages) < reference_stages
+                paired += any(isinstance(op, TurnColor) for op in got.ops)
+        assert exhausted > 10 and finished > 10 and fewer > 10
+        assert paired > 20
+
+    def test_emitted_ops_are_offered(self):
+        # every op of a trace, a pair's recoloring and removal included, is
+        # one find_edge_ops offers on its stage graph at its stuck set
+        rng = np.random.default_rng(61)
+        recolorings = removals = 0
+        for trial in range(300):
+            if trial % 2:
+                g = random_digraph(rng, n_min=8, n_max=14, edge_prob=0.3, with_leaders=False)
+                black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
+            else:
+                g = planted_pair_graph(rng)
+                black = g.leader_mask
+            trace = eeo_derived_set(g, black, budget=(2, 5, 40)[trial % 3])
+            for i, op in enumerate(trace.ops):
+                assert op in find_edge_ops(trace.graphs[i], trace.derivations[i].final)
+                recolorings += isinstance(op, TurnColor)
+                removals += isinstance(op, RemoveEdges)
+        assert recolorings > 100 and removals > 100
 
     def test_no_operation_past_the_budget(self, monkeypatch):
-        # each operation applied builds a stage that is then expanded, so a
-        # spent budget applies no more of them; the root and every removal
-        # stage run a force search, a recoloring stage starts stuck
-        searched, applied = [], []
+        # each stage but the root is built by one removal and then searched,
+        # so a spent budget applies no more removals; a recoloring builds
+        # only the graph its removal applies to
+        searched, removals = [], []
         outcomes, apply = edgeops.derivation_outcomes, edgeops.apply_op
 
         def counting_outcomes(graph, black, *args, **kwargs):
@@ -380,51 +525,79 @@ class TestStageMemo:
             return outcomes(graph, black, *args, **kwargs)
 
         def counting_apply(graph, op):
-            applied.append(op)
+            if isinstance(op, RemoveEdges):
+                removals.append(op)
             return apply(graph, op)
 
         monkeypatch.setattr(edgeops, "derivation_outcomes", counting_outcomes)
         monkeypatch.setattr(edgeops, "apply_op", counting_apply)
         rng = np.random.default_rng(5)
         exhausted = 0
-        for trial in range(120):
+        for trial in range(240):
             g = random_digraph(rng, n_min=10, n_max=14, edge_prob=0.3, with_leaders=False)
             black = vset(int(v) for v in rng.choice(g.n, size=g.n // 2, replace=False))
             searched.clear()
-            applied.clear()
-            budget = (1, 4, 30)[trial % 3]
+            removals.clear()
+            budget = (1, 2, 4)[trial % 3]
             trace = eeo_derived_set(g, black, budget=budget)
             exhausted += trace.budget_exhausted
-            stages = len(applied) + 1
+            stages = len(removals) + 1
             assert stages <= budget
             assert stages == budget or not trace.budget_exhausted
-            removals = sum(isinstance(op, RemoveEdges) for op in applied)
-            assert len(searched) == removals + 1
+            assert len(searched) == stages
         assert exhausted > 10
 
     def test_stages_counted_once(self, monkeypatch):
-        # every stage but the root is built by one operation
+        # every stage but the root is built by one removal
         g = validate(FS_SEED9_501)
-        applied = []
+        removals = []
         original = edgeops.apply_op
 
         def counting(graph, op):
-            applied.append(op)
+            if isinstance(op, RemoveEdges):
+                removals.append(op)
             return original(graph, op)
 
         monkeypatch.setattr(edgeops, "apply_op", counting)
         trace = eeo_derived_set(g, g.leader_mask)
-        assert len(applied) + 1 == 486
+        assert len(removals) + 1 == 3
         assert not trace.complete and not trace.budget_exhausted
         assert trace.replay_ok()
+
+
+class TestSpentBudgets:
+    """Searches that spent the whole stage budget while every recoloring was
+    a stage of its own exhaust their space in a few stages, counted with a
+    spy, not timed."""
+
+    @pytest.mark.parametrize(
+        "doc, final, bound",
+        [(FS_SEED2_2290, 11, 5), (FS_SEED8_2807, 13, 50), (PATH36, 3, 10)],
+        ids=["fs-seed2-2290", "fs-seed8-2807", "path36"],
+    )
+    def test_space_exhausted(self, monkeypatch, doc, final, bound):
+        g = validate(doc)
+        removals = []
+        original = edgeops.apply_op
+
+        def counting(graph, op):
+            if isinstance(op, RemoveEdges):
+                removals.append(op)
+            return original(graph, op)
+
+        monkeypatch.setattr(edgeops, "apply_op", counting)
+        trace = eeo_derived_set(g, g.leader_mask)
+        assert not trace.budget_exhausted and not trace.complete
+        assert trace.final.bit_count() == final
+        assert len(removals) + 1 <= bound
 
 
 class TestSliceSkips:
     """The force search skips a slice test only where the answer cannot
     change the search: after a black set's first force, for a child that is
-    already dead; at the stuck set a removal's stage starts from, for a
-    source without the removal's tail; and at the stuck set a recoloring's
-    stage starts from, for every source."""
+    already dead; and at the stuck set a stage starts from, for a source
+    without the tail of the removal that built it.  A recolored graph is
+    not searched at all."""
 
     @staticmethod
     def searches(trials: int = 210) -> list:
@@ -437,8 +610,10 @@ class TestSliceSkips:
         return cases
 
     def test_traces_match_eager_reference(self, monkeypatch):
-        # the eager reference tests every slice and ignores both skips
-        cases = self.searches()
+        # the eager reference tests every slice and ignores both skips; the
+        # search modulo recoloring spends a budget less often, so twice the
+        # cases meet enough spent ones
+        cases = self.searches(420)
         traces = [eeo_to_jsonable(eeo_derived_set(g, b, budget=k)) for g, b, k in cases]
         monkeypatch.setattr(forcing, "iter_forces", lambda g, b, *_: iter(eager_forces(g, b)))
         assert [eeo_to_jsonable(eeo_derived_set(g, b, budget=k)) for g, b, k in cases] == traces
@@ -487,15 +662,15 @@ class TestSliceSkips:
             if root and "op" in stage:
                 seen["at a stage root"] += 1
                 op = stage["op"]
-                assert source >> (op.u if isinstance(op, TurnColor) else op.v) & 1
+                assert isinstance(op, RemoveEdges) and source >> op.v & 1
             return slice_key(g, source, target)
 
         monkeypatch.setattr(edgeops, "apply_op", spy_apply)
         monkeypatch.setattr(edgeops, "derivation_outcomes", spy_outcomes)
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        # a recoloring stage runs no force search, so removal stages alone
-        # test slices at a stage root; twice the cases meet enough of them
+        # every stage is built by a removal, and few of them test a slice at
+        # their root; twice the cases meet enough of them
         for g, black, budget in self.searches(420):
             stage.clear()
             eeo_derived_set(g, black, budget=budget)
@@ -533,14 +708,14 @@ class TestSliceSkips:
 
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        # with recoloring stages unsearched, twice the cases meet enough
+        # with recolored graphs unsearched, twice the cases meet enough
         for g, black, budget in self.searches(420):
             eeo_derived_set(g, black, budget=budget)
         assert checked[0] > 100
 
     def test_no_slice_tested_at_a_recolored_root(self, monkeypatch):
         apply, iter_forces, slice_key = edgeops.apply_op, forcing.iter_forces, forcing.slice_key
-        roots: dict = {}  # id of a recolored stage graph: the graph, its stuck set
+        roots: dict = {}  # id of a recolored graph: the graph, its stuck set
         drawing: list[bool] = []  # per draw, whether it is at a recolored root
         tested: list[bool] = []  # per slice test, the same
         recolorings = [0]
@@ -584,24 +759,35 @@ class TestSliceSkips:
 
 
 class TestRecoloredRoots:
-    """A recoloring at a stuck set C moves u's white fan, which is one color,
-    to another color.  In a slice whose source holds u, row u is that fan,
-    and the determinant is linear in it, so it is multiplied by x_new/x_old:
-    the same number of terms, the same coefficients.  Slices without u do
-    not change.  So the stage the recoloring builds has no force at C."""
+    """A pair move recolors u's white fan, which is one color, at a stuck
+    set C, and then removes (u, v).  In a slice whose source holds u, row u
+    is that fan, and the determinant is linear in it, so it is multiplied by
+    x_new/x_old: the same number of terms, the same coefficients.  Slices
+    without u do not change.  So the recolored graph has no force at C, and
+    the stage the removal builds is searched at C only for sources with v."""
 
     def test_no_force_at_the_stuck_set(self):
-        recolorings = 0
-        for g in sweep_graphs():
+        # none of the recolorings offered at a stuck set has a force there,
+        # the middle of each pair move among them
+        rng = np.random.default_rng(43)
+        graphs = [planted_pair_graph(rng) for _ in range(60)]
+        recolorings = pairs = 0
+        for g in (*sweep_graphs(), *graphs):
             _, stuck = derivation_outcomes(g, g.leader_mask)
             for derivation in stuck:
                 black = derivation.final
-                for op in find_edge_ops(g, black):
-                    if isinstance(op, TurnColor):
-                        recolorings += 1
-                        want = (None, [DerivationTrace(black, (), black)])
-                        assert derivation_outcomes(apply_op(g, op), black) == want
-        assert recolorings > 40
+                want = (None, [DerivationTrace(black, (), black)])
+                recolored = [
+                    apply_op(g, op) for op in find_edge_ops(g, black) if isinstance(op, TurnColor)
+                ]
+                for graph in recolored:
+                    assert derivation_outcomes(graph, black) == want
+                recolorings += len(recolored)
+                for _, steps, _ in stage_moves(g, black):
+                    if len(steps) == 2:
+                        assert steps[1][1] in recolored
+                        pairs += 1
+        assert recolorings > 100 and pairs > 40
 
     def test_recolored_row_keeps_the_signature(self):
         rng = np.random.default_rng(37)
@@ -690,6 +876,29 @@ class TestReplayMutations:
                 seen[name] = seen.get(name, 0) + 1
         assert len(seen) == 12
         assert all(seen[name] >= 10 for name in ("dropped force", "changed signature"))
+
+    def test_vertex_outside_the_graph_rejected(self):
+        # fig4's witness with a first force from vertex 10, which fig4 (n = 9)
+        # does not have, and that vertex in the initial and final sets
+        g = load_fig("fig4")
+        witness = eeo_derived_set(g, g.leader_mask).derivations[0]
+        outside = 1 << 9
+        bad = DerivationTrace(
+            witness.initial | outside,
+            (Force(outside, labels(4), 1), *witness.steps),
+            witness.final | outside,
+        )
+        assert bad.replay_ok(g) is False
+        assert EeoTrace(graphs=(g,), derivations=(bad,)).replay_ok() is False
+
+    def test_source_wider_than_the_cap_rejected(self):
+        # edges i -> 13 + i: the source {1..13} has a diagonal slice, one
+        # member wider than ENUMERATION_CAP, so no search emits its force
+        g = ColoredDigraph(n=26, edges=tuple((i, 13 + i, 0) for i in range(13)), colors=("c1",))
+        source = (1 << 13) - 1
+        bad = DerivationTrace(source, (Force(source, g.full_mask & ~source, 1),), g.full_mask)
+        assert bad.replay_ok(g) is False
+        assert EeoTrace(graphs=(g,), derivations=(bad,)).replay_ok() is False
 
 
 class TestAnalyze:
