@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bipartite import ENUMERATION_CAP, EnumerationCapError, slice_signature
 from .graph import ColoredDigraph, iter_vset, slice_key, vset_labels, white_out_neighbors
@@ -125,15 +124,15 @@ def iter_forces(
     and ``black`` is no longer stuck once it has a force.  Only sources
     that meet ``changed`` are tested at all (every source by default); the
     caller vouches that no other source forces (see
-    :func:`derivation_outcomes`).
+    :func:`derivation_outcomes`).  The black set is checked at once; the
+    walk returned lists its own subsets (see :func:`_walk`).
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
-    candidates = tuple((bit, reach) for bit, reach in candidates if reach)
-    limit = min(len(candidates), white.bit_count())
-    return _forces_from(g, black, _listing(candidates, limit, MAX_SOURCE_CAP), dead, changed)
+    candidates = [(bit, reach) for bit, reach in candidates if reach]
+    return _walk(g, black, candidates, min(len(candidates), white.bit_count()), dead, changed)
 
 
 def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
@@ -142,130 +141,70 @@ def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
     return list(iter_forces(g, black))
 
 
-class _Listing:
-    """The subsets one force-source walk lists, one size at a time, and the
-    irreducible tight ones among them.
+def _walk(
+    g: ColoredDigraph, black: int, candidates: list, limit: int, dead: Container[int], changed: int
+) -> Iterator[Force]:
+    """The forces of the irreducible tight subsets of ``candidates`` (black
+    vertex bits with their white reach) of at most ``limit`` members, in the
+    order :func:`iter_forces` documents.
 
-    A subset is grown from one of the size below by a later candidate, as a
-    node (index of its last member, source, white target), so a size is in
+    Each walk lists its own subsets, one source size at a time and only
+    once every force of the sizes below has been asked for.  A subset is
+    grown from one of the size below by a later candidate, as a node (index
+    of its last member, source, white target), so a size is in
     lexicographic order.  Adding members only grows the target, so a subset
     is dropped once its target is wider than any source it can still reach:
     with ``i`` the index of its last member, it can reach ``size + last -
     i`` members.  That bound also keeps every target within ``limit``, as
     targets are white and the last member of ``size`` members has an index
     of at least ``size - 1``.  The subsets listed are counted as each node
-    grows, and one more than ``2**cap - 1`` raises
-    :class:`SearchBoundExceededError`, again at each later request.
+    grows, and one more than ``2**MAX_SOURCE_CAP - 1``, read as the walk
+    starts, raises :class:`SearchBoundExceededError`.
 
     Of the tight nodes of a size, one of at most ``ENUMERATION_CAP``
     members that contains a kept tight node of a smaller size is reducible
-    (see :func:`iter_forces`) and not kept; the subsets listed and their
-    count stay the same.  Kept nodes narrower than the cap are indexed in
-    ``kept`` under their lowest member, with those members as bits in
-    ``lows``, each size once the next size is asked for; the check for a
-    node reads only the lists of its own members.
+    and not tested; the subsets listed and their count stay the same.  The
+    kept nodes narrower than the cap are indexed in ``kept`` under their
+    lowest member, with those members as bits in ``lows``, so the check for
+    a node reads only the lists of its own members.
 
-    The listing depends only on the candidates, the limit and the cap, not
-    on colors or slice tests, so the walks over the same three share one
-    (see :func:`_listing`), and each size is listed and filtered once
-    however many walks read it.
-    """
-
-    def __init__(self, candidates: tuple[tuple[int, int], ...], limit: int, cap: int) -> None:
-        self.indexed = [(i, bit, reach) for i, (bit, reach) in enumerate(candidates)]
-        self.limit, self.cap = limit, cap
-        self.budget = (1 << cap) - 1
-        self.level = [(-1, 0, 0)]
-        self.tight: list[list[tuple[int, int, int]]] = []
-        self.kept: dict[int, list[int]] = {}
-        self.lows = 0
-        self.refusal: str | None = None
-
-    def tight_at(self, size: int) -> list[tuple[int, int, int]]:
-        """The irreducible nodes of ``size`` members whose target is as
-        wide, in order, once every size below is listed."""
-        while len(self.tight) < size:
-            if self.refusal is not None:
-                raise SearchBoundExceededError(self.refusal)
-            self._grow(len(self.tight) + 1)
-        return self.tight[size - 1]
-
-    def _grow(self, size: int) -> None:
-        if 1 < size <= ENUMERATION_CAP:
-            for _, source, _ in self.tight[-1]:
-                low = source & -source
-                self.kept.setdefault(low, []).append(source)
-                self.lows |= low
-        end = size + len(self.indexed) - 1
-        grown, tight = [], []
-        for start, source, target in self.level:
-            for i, bit, reach in self.indexed[start + 1 : end + 1 - target.bit_count()]:
-                y = target | reach
-                width = y.bit_count()
-                if width + i <= end:
-                    grown.append((i, source | bit, y))
-                    if width == size:
-                        tight.append(grown[-1])
-            if len(grown) > self.budget:
-                self.level = []
-                self.refusal = (
-                    f"sources of {len(self.indexed)} candidate vertices pass the "
-                    f"budget of 2**{self.cap} - 1 subsets at size {size}"
-                )
-                raise SearchBoundExceededError(self.refusal)
-        self.budget -= len(grown)
-        self.level = grown if size < self.limit else []
-        lows = self.lows
-        if size <= ENUMERATION_CAP and lows:
-            tight = [node for node in tight if not node[1] & lows or self._irreducible(node[1])]
-        self.tight.append(tight)
-
-    def _irreducible(self, source: int) -> bool:
-        """Whether ``source`` contains no kept node."""
-        members = source & self.lows
-        while members:
-            low = members & -members
-            for inner in self.kept.get(low, ()):
-                if not inner & ~source:
-                    return False
-            members ^= low
-        return True
-
-
-@lru_cache(maxsize=1 << 7)
-def _listing(candidates: tuple[tuple[int, int], ...], limit: int, cap: int) -> _Listing:
-    """The listing shared by the walks over ``candidates`` up to ``limit``
-    members under a budget of ``2**cap - 1`` subsets.  Every caller gets the
-    same object, which grows as any of them reads a new size and holds no
-    state of one walk.  An edge operation changes only edges into vertices
-    white at its stuck set, so at a larger black set of the stage it builds,
-    where those heads are black, a walk has the candidates the parent
-    stage's walk there had and reads its listing."""
-    return _Listing(candidates, limit, cap)
-
-
-def _forces_from(
-    g: ColoredDigraph,
-    black: int,
-    listing: _Listing,
-    dead: Container[int],
-    changed: int,
-) -> Iterator[Force]:
-    """The forces whose sources are the irreducible tight subsets
-    ``listing`` lists, in the order :func:`iter_forces` documents.
-
-    The walk goes one source size at a time, and a size's subsets are
-    listed only once every force of the sizes below has been asked for.  A
-    slice is tested when its force is asked for, unless ``changed`` or,
+    A slice is tested when its force is asked for, unless ``changed`` or,
     after the first force, ``dead`` skips it as :func:`iter_forces` says.
     A dead child's slice wider than ``ENUMERATION_CAP`` is still passed to
     ``slice_signature`` for the :class:`EnumerationCapError` it raises; a
     source ``changed`` skips has the slice it had where it was tested
     without error.
     """
-    found = False
-    for size in range(1, listing.limit + 1):
-        for _, source, target in listing.tight_at(size):
+    cap = MAX_SOURCE_CAP
+    budget = (1 << cap) - 1
+    indexed = [(i, bit, reach) for i, (bit, reach) in enumerate(candidates)]
+    level, tight, kept, lows, found = [(-1, 0, 0)], [], {}, 0, False
+    for size in range(1, limit + 1):
+        if 1 < size <= ENUMERATION_CAP:
+            for _, source, _ in tight:
+                low = source & -source
+                kept.setdefault(low, []).append(source)
+                lows |= low
+        end = size + len(indexed) - 1
+        grown, tight = [], []
+        for start, source, target in level:
+            for i, bit, reach in indexed[start + 1 : end + 1 - target.bit_count()]:
+                y = target | reach
+                width = y.bit_count()
+                if width + i <= end:
+                    grown.append((i, source | bit, y))
+                    if width == size:
+                        tight.append(grown[-1])
+            if len(grown) > budget:
+                raise SearchBoundExceededError(
+                    f"sources of {len(indexed)} candidate vertices pass the "
+                    f"budget of 2**{cap} - 1 subsets at size {size}"
+                )
+        budget -= len(grown)
+        level = grown
+        if size <= ENUMERATION_CAP and lows:
+            tight = [n for n in tight if not n[1] & lows or _irreducible(n[1], kept, lows)]
+        for _, source, target in tight:
             if not source & changed:
                 continue
             if found and size <= ENUMERATION_CAP and black | target in dead:
@@ -274,6 +213,19 @@ def _forces_from(
             if signature is not None:
                 found = True
                 yield Force(source=source, target=target, class_signature=signature)
+
+
+def _irreducible(source: int, kept: dict[int, list[int]], lows: int) -> bool:
+    """Whether ``source`` contains no source of ``kept``, which lists each
+    under its lowest member, one of the bits of ``lows``."""
+    members = source & lows
+    while members:
+        low = members & -members
+        for inner in kept.get(low, ()):
+            if not inner & ~source:
+                return False
+        members ^= low
+    return True
 
 
 def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:

@@ -120,6 +120,31 @@ FS_SEED8_2807 = {
     "leaders": [4, 5, 11, 12, 13, 15, 17, 18, 19, 20],
 }
 
+# forcing-scale seed 2 graph 326 (n = 19, one color): its certificate takes
+# six removals, each offered at the stuck set of its stage, over seven
+# stages; no other test walks an edge-operation path that deep.
+FS_SEED2_326 = {
+    "n": 19,
+    "colors": ["c1"],
+    "edges": [
+        [1, 2, 1], [1, 5, 1], [1, 7, 1], [1, 12, 1], [2, 1, 1], [2, 5, 1], [2, 12, 1],
+        [2, 16, 1], [2, 17, 1], [3, 2, 1], [3, 4, 1], [3, 5, 1], [3, 11, 1], [3, 16, 1],
+        [4, 2, 1], [4, 7, 1], [4, 9, 1], [4, 10, 1], [5, 1, 1], [5, 2, 1], [5, 3, 1],
+        [5, 7, 1], [5, 12, 1], [5, 13, 1], [5, 18, 1], [6, 2, 1], [6, 9, 1], [6, 17, 1],
+        [6, 18, 1], [7, 9, 1], [7, 11, 1], [7, 13, 1], [7, 16, 1], [7, 19, 1], [8, 1, 1],
+        [8, 3, 1], [8, 4, 1], [8, 7, 1], [8, 13, 1], [8, 16, 1], [9, 1, 1], [9, 2, 1],
+        [9, 5, 1], [9, 6, 1], [9, 13, 1], [9, 16, 1], [10, 1, 1], [10, 2, 1], [10, 3, 1],
+        [10, 7, 1], [10, 12, 1], [10, 17, 1], [11, 1, 1], [11, 10, 1], [11, 13, 1],
+        [11, 14, 1], [12, 2, 1], [12, 7, 1], [12, 17, 1], [12, 19, 1], [13, 2, 1], [13, 9, 1],
+        [13, 12, 1], [14, 6, 1], [14, 9, 1], [14, 10, 1], [14, 12, 1], [15, 2, 1], [15, 7, 1],
+        [15, 11, 1], [16, 2, 1], [16, 5, 1], [16, 11, 1], [16, 17, 1], [17, 2, 1], [17, 5, 1],
+        [17, 8, 1], [17, 10, 1], [17, 11, 1], [17, 12, 1], [17, 15, 1], [17, 16, 1],
+        [18, 2, 1], [18, 5, 1], [18, 10, 1], [19, 1, 1], [19, 2, 1], [19, 5, 1], [19, 10, 1],
+        [19, 11, 1], [19, 13, 1], [19, 16, 1],
+    ],
+    "leaders": [3, 4, 10, 11, 14, 15, 17, 18, 19],
+}
+
 # leaders 1-3 share one c1 fan to 4-6 that no force can pass, and the path
 # 7 -> ... -> 36 -> 4 gives the fan 30 more colors to turn to; with every
 # recoloring a stage of its own, the search spent the whole budget.
@@ -563,6 +588,27 @@ class TestStageMemo:
         assert len(removals) + 1 == 3
         assert not trace.complete and not trace.budget_exhausted
         assert trace.replay_ok()
+
+    def test_deep_certificate(self, monkeypatch):
+        # a certificate six removals deep: each removal is offered at its
+        # stage, the trace replays, and the search reaches it in as many
+        # stages as the certificate has
+        g = validate(FS_SEED2_326)
+        stages = []
+        original = edgeops.derivation_outcomes
+
+        def counting(graph, black, *args, **kwargs):
+            stages.append(black)
+            return original(graph, black, *args, **kwargs)
+
+        monkeypatch.setattr(edgeops, "derivation_outcomes", counting)
+        trace = eeo_derived_set(g, g.leader_mask)
+        assert trace.complete
+        assert [type(op) for op in trace.ops] == [RemoveEdges] * 6
+        for i, op in enumerate(trace.ops):
+            assert op in find_edge_ops(trace.graphs[i], trace.derivations[i].final)
+        assert trace.replay_ok()
+        assert len(stages) == 7
 
 
 class TestSpentBudgets:

@@ -76,24 +76,6 @@ def _drawn(g: ColoredDigraph, black: int) -> tuple[list[forcing.Force], bool]:
     return forces, False
 
 
-def _listings(monkeypatch) -> list:
-    """Spy on the shared listings the walks read; returns them in call order."""
-    seen: list = []
-    original = forcing._listing
-
-    def spying(*args):
-        seen.append(original(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(forcing, "_listing", spying)
-    return seen
-
-
-def _listed(listing) -> int:
-    """The subsets ``listing`` has listed and counted against its budget."""
-    return (1 << listing.cap) - 1 - listing.budget
-
-
 class TestIsColorPerfect:
     def test_fig4_first_force(self):
         g = load_fig("fig4")
@@ -138,17 +120,15 @@ class TestFindForces:
         sizes = [f.source.bit_count() for f in find_forces(g, labels(1, 2, 3, 4, 5))]
         assert sizes == sorted(sizes)
 
-    def test_bound_exceeded(self, monkeypatch):
+    def test_bound_exceeded(self):
         # 13 black vertices with private targets: sizes 1-6 list 4095
         # subsets, all forces but only the 13 singletons irreducible, and
         # size 7 passes the budget of 2**12 - 1
-        listings = _listings(monkeypatch)
         g, black = _private_targets(13), (1 << 13) - 1
-        with pytest.raises(SearchBoundExceededError, match="at size 7"):
+        with pytest.raises(SearchBoundExceededError, match="at size 7$"):
             find_forces(g, black)
         forces, refused = _drawn(g, black)
         assert refused and [f.source for f in forces] == [1 << v for v in range(13)]
-        assert listings[0] is listings[1] and _listed(listings[0]) == 4095
 
     def test_source_meeting_a_tight_source_still_forces(self):
         # {1, 2} is tight and singular (both feed {5, 6} in one color); the
@@ -177,15 +157,19 @@ class TestFindForces:
         assert [(members1(f.source), members1(f.target)) for f in forces] == [((13,), (14,))]
 
     @pytest.mark.parametrize("k", [12, 13, 31])
-    def test_cap_bounds_subsets_looked_at(self, k, monkeypatch):
-        # the listing counts the subsets looked at before the refusal; of
-        # them only the singletons are irreducible forces
-        listings = _listings(monkeypatch)
+    def test_cap_bounds_subsets_looked_at(self, k):
+        # every subset of k private-target vertices is listed, so the size
+        # the walk refuses at pins the subsets it counted: k = 12 lists all
+        # 4095 and is never refused, k = 13 refuses at size 7 after
+        # C(13, 1..6) = 4095 and k = 31 at size 3 after C(31, 1..2) = 496;
+        # of them only the singletons are irreducible forces
         g, black = _private_targets(k), (1 << k) - 1
         forces, refused = _drawn(g, black)
         assert refused == (k > 12)  # a set at the cap is never refused
-        assert _listed(listings[0]) == {12: 4095, 13: 4095, 31: 496}[k]
         assert [f.source for f in forces] == [1 << v for v in range(k)]
+        if refused:
+            with pytest.raises(SearchBoundExceededError, match=f"at size {7 if k == 13 else 3}$"):
+                find_forces(g, black)
 
     def test_black_sets_within_cap_never_refused(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -310,15 +294,14 @@ class TestIterForces:
         # tested; listing size 7 passes the budget, and the refusal comes
         # before any of its slices is tested
         calls = _count_slice_tests(monkeypatch)
-        listings = _listings(monkeypatch)
         g, black = _private_targets(13), (1 << 13) - 1
         forces = iter_forces(g, black)
         assert calls[0] == 0
         assert next(forces).source == 1 and calls[0] == 1
-        with pytest.raises(SearchBoundExceededError):
+        with pytest.raises(SearchBoundExceededError, match="at size 7$"):
             for force in forces:
                 assert force.source.bit_count() == 1
-        assert calls[0] == 13 and _listed(listings[0]) == 4095
+        assert calls[0] == 13
 
     def test_dead_child_skipped_after_first_force(self, monkeypatch):
         # vertex v < 4 of a private-target graph forces {4 + v}: {0} is
@@ -360,27 +343,17 @@ class TestIterForces:
         assert find_forces(g, black) == want == []
         assert tested == [labels(1, 2)]
 
-    def test_walks_share_one_listing(self, monkeypatch):
-        # two walks over the same candidates, drawn in turn, read one
-        # listing: each size is listed once, and each walk yields every
-        # irreducible force
-        grown = []
-        original = forcing._Listing._grow
-
-        def counting(listing, size):
-            grown.append(size)
-            return original(listing, size)
-
-        monkeypatch.setattr(forcing._Listing, "_grow", counting)
-        forcing._listing.cache_clear()
+    def test_interleaved_walks_each_yield_every_force(self):
+        # two walks over the same candidates, drawn in turn, each list their
+        # own subsets and yield every irreducible force
         g, black = _private_targets(5, n=10), 0b11111
         drawn = [f for pair in zip(iter_forces(g, black), iter_forces(g, black)) for f in pair]
         assert drawn[::2] == drawn[1::2] == irreducible(g, black, all_subsets_forces(g, black))
-        assert grown == [1, 2, 3, 4, 5]
 
     def test_refusal_repeats_for_every_walk(self):
-        # the shared listing keeps its refusal: a later walk over the same
-        # candidates yields the same forces and refuses at the same size
+        # each walk lists its own subsets against a budget of its own: a
+        # later walk over the same candidates yields the same forces and
+        # refuses at the same size
         g, black = _private_targets(13), (1 << 13) - 1
         first, second = _drawn(g, black), _drawn(g, black)
         assert first == second and first[1] and len(first[0]) == 13
