@@ -288,13 +288,9 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     met again and is not memoized.  The budget counts the distinct stages
     searched, one per move.
 
-    A stage starts at the stuck set C its move was validated against, where
-    the parent stage had no force, and a recolored graph has none there
-    either, by the argument above.  A removal changes only the out-edges of
-    v into white vertices, so at C only sources that contain v are tested
-    (see :func:`derivation_outcomes`).  A stage graph shares its parent's
-    rows (:attr:`ColoredDigraph.out_edges` and ``out_masks``) but the
-    tail's.
+    A stage starts at the stuck set C its move was validated against.  A
+    stage graph shares its parent's rows (:attr:`ColoredDigraph.out_edges`
+    and ``out_masks``) but the tail's.
     """
     limit = 10_000 if budget is None else budget
     if limit < 1:
@@ -302,9 +298,9 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
     memo: set[StageKey] = set()
     best: EeoTrace | None = None
     path: list[list] = []
-    graph, stages, changed, key = g, 1, -1, None
+    graph, stages, key = g, 1, None
     while True:
-        witness, stuck = derivation_outcomes(graph, black, changed)
+        witness, stuck = derivation_outcomes(graph, black)
         if witness is not None:
             return _trace(path, graph, witness)
         # Prefer branching from larger derived sets; ties break on the mask.
@@ -329,4 +325,4 @@ def eeo_derived_set(g: ColoredDigraph, black: int, budget: int | None = None) ->
         derivation, steps, key = move
         memo.add(key)
         removal, stage = steps[-1]
-        graph, black, changed = apply_op(stage, removal), derivation.final, 1 << removal.v
+        graph, black = apply_op(stage, removal), derivation.final

@@ -92,9 +92,7 @@ def is_color_perfect(g: ColoredDigraph, source: int, black: int) -> Force | None
     return Force(source=source, target=target, class_signature=signature)
 
 
-def iter_forces(
-    g: ColoredDigraph, black: int, dead: Container[int] = frozenset(), changed: int = -1
-) -> Iterator[Force]:
+def iter_forces(g: ColoredDigraph, black: int, dead: Container[int] = frozenset()) -> Iterator[Force]:
     """The irreducible forces available at ``black``, smallest source first,
     each slice tested only when the next force is asked for.
 
@@ -106,33 +104,30 @@ def iter_forces(
     of them, drawing the next force raises :class:`SearchBoundExceededError`.
 
     Call a source *tight* when its target is as wide as it is; only tight
-    sources have a slice to test.  A tight source of at most
-    ``ENUMERATION_CAP`` members that strictly contains a smaller tight
-    source T is reducible and not yielded: the rows of T in its slice meet
-    only T's target, so the slice is block triangular and ``det X = +-det T
-    * det(X - T -> target(X) - target(T))``.  A product of polynomials is a
+    sources have a slice to test.  A tight source that strictly contains a
+    smaller tight source T is reducible and not yielded: the rows of T in
+    its slice meet only T's target, so the slice is block triangular and
+    ``det X = +-det T * det(X - T -> target(X) - target(T))``.  A product of polynomials is a
     single monomial only when both factors are, so X forces only when T
     forces and X - T then forces at ``black | target(T)``, ending at X's
     child.  Every force is a chain of irreducible ones, the first force
     available is always irreducible, and a search that has exhausted T's
-    child has met X's.  A wider source is still yielded, so its slice
-    raises the :class:`EnumerationCapError` that every caller meets.
+    child has met X's.  An irreducible tight source wider than
+    ``ENUMERATION_CAP`` raises :class:`EnumerationCapError` when its slice
+    is tested.
 
-    Two arguments let a search skip slice tests whose answers it cannot
-    use.  After the first force, a source whose child ``black | target`` is
-    in ``dead`` is not tested: the search drops a force into a dead child,
-    and ``black`` is no longer stuck once it has a force.  Only sources
-    that meet ``changed`` are tested at all (every source by default); the
-    caller vouches that no other source forces (see
-    :func:`derivation_outcomes`).  The black set is checked at once; the
-    walk returned lists its own subsets (see :func:`_walk`).
+    After the first force, a source whose child ``black | target`` is in
+    ``dead`` is not tested: the search drops a force into a dead child, and
+    ``black`` is no longer stuck once it has a force.  The black set is
+    checked at once; the walk returned lists its own subsets (see
+    :func:`_walk`).
     """
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
     white = g.full_mask & ~black
     candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
     candidates = [(bit, reach) for bit, reach in candidates if reach]
-    return _walk(g, black, candidates, min(len(candidates), white.bit_count()), dead, changed)
+    return _walk(g, black, candidates, min(len(candidates), white.bit_count()), dead)
 
 
 def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
@@ -142,7 +137,7 @@ def find_forces(g: ColoredDigraph, black: int) -> list[Force]:
 
 
 def _walk(
-    g: ColoredDigraph, black: int, candidates: list, limit: int, dead: Container[int], changed: int
+    g: ColoredDigraph, black: int, candidates: list, limit: int, dead: Container[int]
 ) -> Iterator[Force]:
     """The forces of the irreducible tight subsets of ``candidates`` (black
     vertex bits with their white reach) of at most ``limit`` members, in the
@@ -161,30 +156,24 @@ def _walk(
     grows, and one more than ``2**MAX_SOURCE_CAP - 1``, read as the walk
     starts, raises :class:`SearchBoundExceededError`.
 
-    Of the tight nodes of a size, one of at most ``ENUMERATION_CAP``
-    members that contains a kept tight node of a smaller size is reducible
-    and not tested; the subsets listed and their count stay the same.  The
-    kept nodes narrower than the cap are indexed in ``kept`` under their
+    Of the tight nodes of a size, one that contains a kept tight node of a
+    smaller size is reducible and not tested; the subsets listed and their
+    count stay the same.  The kept nodes are indexed in ``kept`` under their
     lowest member, with those members as bits in ``lows``, so the check for
     a node reads only the lists of its own members.
 
-    A slice is tested when its force is asked for, unless ``changed`` or,
-    after the first force, ``dead`` skips it as :func:`iter_forces` says.
-    A dead child's slice wider than ``ENUMERATION_CAP`` is still passed to
-    ``slice_signature`` for the :class:`EnumerationCapError` it raises; a
-    source ``changed`` skips has the slice it had where it was tested
-    without error.
+    A slice is tested when its force is asked for, unless, after the first
+    force, ``dead`` skips it as :func:`iter_forces` says.
     """
     cap = MAX_SOURCE_CAP
     budget = (1 << cap) - 1
     indexed = [(i, bit, reach) for i, (bit, reach) in enumerate(candidates)]
     level, tight, kept, lows, found = [(-1, 0, 0)], [], {}, 0, False
     for size in range(1, limit + 1):
-        if 1 < size <= ENUMERATION_CAP:
-            for _, source, _ in tight:
-                low = source & -source
-                kept.setdefault(low, []).append(source)
-                lows |= low
+        for _, source, _ in tight:
+            low = source & -source
+            kept.setdefault(low, []).append(source)
+            lows |= low
         end = size + len(indexed) - 1
         grown, tight = [], []
         for start, source, target in level:
@@ -202,12 +191,10 @@ def _walk(
                 )
         budget -= len(grown)
         level = grown
-        if size <= ENUMERATION_CAP and lows:
+        if lows:
             tight = [n for n in tight if not n[1] & lows or _irreducible(n[1], kept, lows)]
         for _, source, target in tight:
-            if not source & changed:
-                continue
-            if found and size <= ENUMERATION_CAP and black | target in dead:
+            if found and black | target in dead:
                 continue
             signature = slice_signature(slice_key(g, source, target))
             if signature is not None:
@@ -254,7 +241,7 @@ def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:
 
 
 def derivation_outcomes(
-    g: ColoredDigraph, black: int, changed: int = -1
+    g: ColoredDigraph, black: int
 ) -> tuple[DerivationTrace | None, list[DerivationTrace]]:
     """Backtracking search over force choices.
 
@@ -269,26 +256,14 @@ def derivation_outcomes(
 
     Each black set draws its forces with the live ``dead`` set, so once it
     has one force no slice of a dead child is tested: the search would drop
-    that force, and the black set is no longer stuck.  At ``black`` itself
-    only sources that meet ``changed`` are tested.  That is exact when
-    ``black`` had no force on a graph that differs from ``g`` only in the
-    out-edges of the ``changed`` vertices into white ones: every other
-    source has the same slice on both graphs, and ``g`` lists no subset
-    without them that the other graph's walk, which has every candidate
-    ``g`` has and no smaller limit, did not.  The edge-operation search
-    passes the tail ``v`` of the removal that built the stage.  When a
-    recoloring came first, ``black`` had no force on the recolored graph
-    either: recoloring a one-color fan multiplies one row of every slice
-    through its tail by a constant, which keeps each determinant's terms
-    and coefficients (see :func:`colored_ssc.edgeops.eeo_derived_set`).
+    that force, and the black set is no longer stuck.
     """
     start, full = black, g.full_mask
     dead: set[int] = set()
     stuck: list[DerivationTrace] = []
     path: list[list] = []
     while black != full:
-        path.append([black, None, iter_forces(g, black, dead, changed)])
-        changed = -1
+        path.append([black, None, iter_forces(g, black, dead)])
         while path:
             frame = path[-1]
             force = next(frame[2], None)

@@ -24,7 +24,6 @@ import scipy.linalg
 
 from colored_ssc import forcing
 from colored_ssc.bipartite import (
-    ENUMERATION_CAP,
     ColoredBipartite,
     DetPolynomial,
     enumerate_matchings,
@@ -235,11 +234,10 @@ def all_subsets_forces(
 
 
 def reducible(g: ColoredDigraph, black: int, source: int) -> bool:
-    """Whether ``source`` is reducible at ``black``: no wider than
-    ``ENUMERATION_CAP``, with a nonempty proper subset whose white target is
-    as wide as it is."""
+    """Whether ``source`` is reducible at ``black``: it has a nonempty proper
+    subset whose white target is as wide as it is."""
     members = vset_members(source)
-    return len(members) <= ENUMERATION_CAP and any(
+    return any(
         white_out_neighbors(g, vset(subset), black).bit_count() == size
         for size in range(1, len(members))
         for subset in combinations(members, size)

@@ -332,10 +332,11 @@ class TestSearchCap:
 
     @pytest.mark.parametrize("command", ["check", "forcing"])
     def test_exit_code(self, capsys, wide, command):
+        # the full set holds no smaller tight source, so its slice is tested
         code, out, err = run_cli(capsys, command, wide)
         assert code == EXIT_SEARCH_CAP
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: symbolic determinant capped at 12, got 15\n"
 
     def test_greedy_truncates_instead(self, capsys, wide):
         code, out, _ = run_cli(capsys, "forcing", wide, "--greedy", "--json")
@@ -365,19 +366,30 @@ class TestSearchCap:
         assert out == ""
         assert err == "error: matching enumeration capped at 65536 perfect matchings\n"
 
-    @pytest.mark.parametrize(
-        ("i", "cause"),
-        [(16, "budget of 2**12 - 1 subsets"), (14, "symbolic determinant capped at 12")],
-    )
+    @pytest.mark.parametrize(("i", "cause"), [(16, "budget of 2**12 - 1 subsets")])
     def test_scale_graph_past_a_cap(self, capsys, tmp_path, i, cause):
-        # 30-vertex graphs of the scale family: one search lists more source
-        # subsets than the budget allows, the other meets a 13 x 13 slice
+        # a 30-vertex graph of the scale family whose search lists more
+        # source subsets than the budget allows
         target = tmp_path / f"scale30_{i}.json"
         target.write_text(json.dumps(serialize(scale_graph(30, i))))
         code, out, err = run_cli(capsys, "check", str(target))
         assert code == EXIT_SEARCH_CAP
         assert out == ""
         assert err.startswith("error: ") and cause in err and err.count("\n") == 1
+
+    def test_scale_graph_with_a_wide_reducible_source(self, capsys, tmp_path):
+        # its search lists a 13-wide tight source that holds a smaller
+        # tight one, so the source is not tested and the cap is not met:
+        # the edge-operation search exhausts its space at 17 of 30
+        target = tmp_path / "scale30_14.json"
+        target.write_text(json.dumps(serialize(scale_graph(30, 14))))
+        code, out, err = run_cli(capsys, "check", str(target), "--json")
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        report = json.loads(out)
+        assert report["verdict"] == "UNDECIDED"
+        eeo = report["edge_operations"]
+        assert not eeo["complete"] and not eeo["budget_exhausted"]
+        assert len(eeo["final"]) == 17
 
 
 class TestBipartite:

@@ -641,9 +641,7 @@ class TestSpentBudgets:
 class TestSliceSkips:
     """The force search skips a slice test only where the answer cannot
     change the search: after a black set's first force, for a child that is
-    already dead; and at the stuck set a stage starts from, for a source
-    without the tail of the removal that built it.  A recolored graph is
-    not searched at all."""
+    already dead.  A recolored graph is not searched at all."""
 
     @staticmethod
     def searches(trials: int = 210) -> list:
@@ -656,7 +654,7 @@ class TestSliceSkips:
         return cases
 
     def test_traces_match_eager_reference(self, monkeypatch):
-        # the eager reference tests every slice and ignores both skips; the
+        # the eager reference tests every slice and ignores the skip; the
         # search modulo recoloring spends a budget less often, so twice the
         # cases meet enough spent ones
         cases = self.searches(420)
@@ -669,22 +667,12 @@ class TestSliceSkips:
 
     def test_no_skippable_slice_tested(self, monkeypatch):
         iter_forces, slice_key = forcing.iter_forces, forcing.slice_key
-        outcomes, apply = edgeops.derivation_outcomes, edgeops.apply_op
-        stage: dict = {}  # the operation that built the stage, and whether its root is next
-        drawing: list[list] = []  # [black, dead, forces drawn, stage root?] per draw
-        seen = {"after a force": 0, "at a stage root": 0}
+        drawing: list[list] = []  # [black, dead, forces drawn] per draw
+        tested = [0]  # slices tested after a black set's first force
 
-        def spy_apply(graph, op):
-            stage["op"] = op
-            return apply(graph, op)
-
-        def spy_outcomes(graph, black, *args, **kwargs):
-            stage["root"] = True
-            return outcomes(graph, black, *args, **kwargs)
-
-        def spy_iter(g, black, dead=frozenset(), *args):
-            frame = [black, dead, 0, stage.pop("root", False)]
-            forces = iter_forces(g, black, dead, *args)
+        def spy_iter(g, black, dead=frozenset()):
+            frame = [black, dead, 0]
+            forces = iter_forces(g, black, dead)
 
             def drawn():
                 while True:
@@ -701,32 +689,23 @@ class TestSliceSkips:
             return drawn()
 
         def spy_key(g, source, target):
-            black, dead, found, root = drawing[-1]
+            black, dead, found = drawing[-1]
             if found:
-                seen["after a force"] += 1
+                tested[0] += 1
                 assert black | target not in dead
-            if root and "op" in stage:
-                seen["at a stage root"] += 1
-                op = stage["op"]
-                assert isinstance(op, RemoveEdges) and source >> op.v & 1
             return slice_key(g, source, target)
 
-        monkeypatch.setattr(edgeops, "apply_op", spy_apply)
-        monkeypatch.setattr(edgeops, "derivation_outcomes", spy_outcomes)
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        # every stage is built by a removal, and few of them test a slice at
-        # their root; twice the cases meet enough of them
         for g, black, budget in self.searches(420):
-            stage.clear()
             eeo_derived_set(g, black, budget=budget)
-        assert seen["after a force"] > 100 and seen["at a stage root"] > 30
+        assert tested[0] > 100
 
 
     def test_no_source_over_singular_tight_source_tested(self, monkeypatch):
         # a tight source inside a tight source makes its slice block
-        # triangular, so no source of at most ENUMERATION_CAP members that
-        # contains a smaller tight source, singular or not, is tested
+        # triangular, so no source that contains a smaller tight source,
+        # singular or not, is tested
         iter_forces, slice_key = forcing.iter_forces, forcing.slice_key
         drawing: list[int] = []  # the black set of each draw
         checked = [0]

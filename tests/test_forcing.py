@@ -314,16 +314,40 @@ class TestIterForces:
         assert forces == [0b0001, 0b0100]
         assert calls[0] == 2
 
-    def test_dead_child_still_meets_the_cap(self):
+    @staticmethod
+    def _wide_reducible(monkeypatch) -> tuple[ColoredDigraph, list[int]]:
         # 13 black vertices: 0 forces white 13 alone; every other one points
         # at all 13 whites, so the one other listed subset with a square
-        # slice is all 13, too wide to test even though its child is dead
+        # slice is all 13, which contains the tight source {0}; the list
+        # returned gets the width of every slice tested
         edges = [(0, 13, 0), *((v, w, 0) for v in range(1, 13) for w in range(13, 26))]
-        g = ColoredDigraph(n=26, edges=tuple(edges), colors=("c1",))
+        widths: list[int] = []
+        original = forcing.slice_signature
+
+        def spy(key):
+            widths.append(len(key))
+            return original(key)
+
+        monkeypatch.setattr(forcing, "slice_signature", spy)
+        return ColoredDigraph(n=26, edges=tuple(edges), colors=("c1",)), widths
+
+    def test_wide_dead_child_not_tested(self, monkeypatch):
+        # the 13-wide source is reducible and its child is dead: after the
+        # first force the walk ends without testing a slice past the cap
+        g, widths = self._wide_reducible(monkeypatch)
         forces = iter_forces(g, (1 << 13) - 1, dead={g.full_mask})
         assert next(forces).target == 1 << 13
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(StopIteration):
             next(forces)
+        assert widths == [1]
+
+    def test_wide_reducible_source_not_tested(self, monkeypatch):
+        # without a dead set, too: the reducible source is dropped at any
+        # width, so one slice is tested and no determinant cap is met
+        g, widths = self._wide_reducible(monkeypatch)
+        forces = find_forces(g, (1 << 13) - 1)
+        assert [(f.source, f.target) for f in forces] == [(1, 1 << 13)]
+        assert widths == [1]
 
     def test_source_over_singular_tight_source_not_tested(self, monkeypatch):
         # T = {1, 2} feeds {4, 5} all in color c1, so det T = c1^2 - c1^2 = 0;
