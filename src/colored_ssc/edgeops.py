@@ -214,8 +214,11 @@ def _moves(graph: ColoredDigraph, stuck: list[DerivationTrace], key: StageKey | 
     ``steps`` holds (op, graph it applies to) pairs: a removal that
     :func:`find_edge_ops` offers at the stuck set, or one of its recolorings
     followed by a removal of the recolored vertex that it offers on the
-    recolored graph.  The row of a recolored fan is a wildcard, so only
-    the removal's tail ``v`` gets a new row in the key.
+    recolored graph.  The recolored graph is built only when u's fan, turned
+    to the new color, lies inside the fan of some black v (never u's own,
+    whose color it changes), as no other recoloring can offer such a
+    removal.  The row of a recolored fan is a wildcard, so only the
+    removal's tail ``v`` gets a new row in the key.
     """
     for derivation in stuck:
         final = derivation.final
@@ -224,6 +227,9 @@ def _moves(graph: ColoredDigraph, stuck: list[DerivationTrace], key: StageKey | 
             if isinstance(op, RemoveEdges):
                 moves = [((op, graph),)]
             else:
+                fan = {(head, op.new_color) for head in iter_vset(graph.out_masks[op.u] & ~final)}
+                if not any(fan.issubset(graph.out_edges[v]) for v in iter_vset(final)):
+                    continue
                 recolored = apply_op(graph, op)
                 moves = [
                     ((op, graph), (removal, recolored))

@@ -13,7 +13,7 @@ from collections.abc import Container, Iterator
 from dataclasses import dataclass
 
 from .bipartite import ENUMERATION_CAP, EnumerationCapError, slice_signature
-from .graph import ColoredDigraph, iter_vset, slice_key, vset_labels, white_out_neighbors
+from .graph import ColoredDigraph, slice_key, vset_labels, white_out_neighbors
 # Unused here; kept bound because perfbench/tracing.py wraps these names.
 from .bipartite import certifying_signature  # noqa: F401
 from .graph import induced_bipartite  # noqa: F401
@@ -100,8 +100,10 @@ def iter_forces(g: ColoredDigraph, black: int, dead: Container[int] = frozenset(
     size, so the order is reproducible.  Only sources that can force are
     enumerated: subsets of the black vertices with a white out-neighbor (any
     other one is a zero row of every slice it joins), no larger than the
-    white set.  Once the walk has listed more than ``2**MAX_SOURCE_CAP - 1``
-    of them, drawing the next force raises :class:`SearchBoundExceededError`.
+    white set.  Over more than ``MAX_SOURCE_CAP`` candidates, once the walk
+    has listed more than ``2**MAX_SOURCE_CAP - 1`` subsets, drawing the next
+    force raises :class:`SearchBoundExceededError`; over at most that many
+    candidates it never does.
 
     Call a source *tight* when its target is as wide as it is; only tight
     sources have a slice to test.  A tight source that strictly contains a
@@ -125,8 +127,11 @@ def iter_forces(g: ColoredDigraph, black: int, dead: Container[int] = frozenset(
     if black & ~g.full_mask:
         raise ValueError("black set contains vertices outside the graph")
     white = g.full_mask & ~black
-    candidates = [(1 << v, g.out_masks[v] & white) for v in iter_vset(black)]
-    candidates = [(bit, reach) for bit, reach in candidates if reach]
+    candidates = [
+        (1 << v, reach & white)
+        for v, reach in enumerate(g.out_masks)
+        if black >> v & 1 and reach & white
+    ]
     return _walk(g, black, candidates, min(len(candidates), white.bit_count()), dead)
 
 
@@ -146,44 +151,52 @@ def _walk(
     Each walk lists its own subsets, one source size at a time and only
     once every force of the sizes below has been asked for.  A subset is
     grown from one of the size below by a later candidate, as a node (index
-    of its last member, source, white target), so a size is in
-    lexicographic order.  Adding members only grows the target, so a subset
-    is dropped once its target is wider than any source it can still reach:
-    with ``i`` the index of its last member, it can reach ``size + last -
-    i`` members.  That bound also keeps every target within ``limit``, as
-    targets are white and the last member of ``size`` members has an index
-    of at least ``size - 1``.  The subsets listed are counted as each node
-    grows, and one more than ``2**MAX_SOURCE_CAP - 1``, read as the walk
-    starts, raises :class:`SearchBoundExceededError`.
+    of its last member, source, white target, whether it holds a tight
+    subset, itself included), so a size is in lexicographic order.  Adding
+    members only grows the target, so a subset is dropped once its target is
+    wider than any source it can still reach: with ``i`` the index of its
+    last member, it can reach ``size + last - i`` members.  That bound also
+    keeps every target within ``limit``, as targets are white and the last
+    member of ``size`` members has an index of at least ``size - 1``.
 
-    Of the tight nodes of a size, one that contains a kept tight node of a
-    smaller size is reducible and not tested; the subsets listed and their
-    count stay the same.  The kept nodes are indexed in ``kept`` under their
-    lowest member, with those members as bits in ``lows``, so the check for
-    a node reads only the lists of its own members.
+    A subset holds a smaller tight subset when its parent, the subset
+    without its last member ``i``, holds one, or when an irreducible tight
+    subset indexed under its highest member ``i`` in ``highs`` lies inside
+    it.  A tight subset that holds one is reducible and not tested.  Over at
+    most ``MAX_SOURCE_CAP`` candidates the walk has at most
+    ``2**MAX_SOURCE_CAP - 1`` subsets, so the budget cannot bind, and it
+    neither keeps a subset that holds a smaller tight subset nor grows a
+    tight one: every tight subset grown from either is reducible.  Over
+    more candidates it keeps every subset it can grow, counted as each node
+    grows, and one more than ``2**MAX_SOURCE_CAP - 1``, read as the walk
+    starts, raises :class:`SearchBoundExceededError`; pruning such a walk
+    too would move the size at which it refuses.
 
     A slice is tested when its force is asked for, unless, after the first
     force, ``dead`` skips it as :func:`iter_forces` says.
     """
     cap = MAX_SOURCE_CAP
     budget = (1 << cap) - 1
+    prune = len(candidates) <= cap
     indexed = [(i, bit, reach) for i, (bit, reach) in enumerate(candidates)]
-    level, tight, kept, lows, found = [(-1, 0, 0)], [], {}, 0, False
+    highs: list[list[int]] = [[] for _ in indexed]
+    level, found = [(-1, 0, 0, False)], False
     for size in range(1, limit + 1):
-        for _, source, _ in tight:
-            low = source & -source
-            kept.setdefault(low, []).append(source)
-            lows |= low
         end = size + len(indexed) - 1
         grown, tight = [], []
-        for start, source, target in level:
+        for start, source, target, held in level:
             for i, bit, reach in indexed[start + 1 : end + 1 - target.bit_count()]:
                 y = target | reach
                 width = y.bit_count()
                 if width + i <= end:
-                    grown.append((i, source | bit, y))
-                    if width == size:
-                        tight.append(grown[-1])
+                    x = source | bit
+                    holds = held or any(not inner & ~x for inner in highs[i])
+                    if width == size and not holds:
+                        highs[i].append(x)
+                        tight.append((x, y))
+                        holds = True
+                    if not (prune and holds):
+                        grown.append((i, x, y, holds))
             if len(grown) > budget:
                 raise SearchBoundExceededError(
                     f"sources of {len(indexed)} candidate vertices pass the "
@@ -191,28 +204,13 @@ def _walk(
                 )
         budget -= len(grown)
         level = grown
-        if lows:
-            tight = [n for n in tight if not n[1] & lows or _irreducible(n[1], kept, lows)]
-        for _, source, target in tight:
+        for source, target in tight:
             if found and black | target in dead:
                 continue
             signature = slice_signature(slice_key(g, source, target))
             if signature is not None:
                 found = True
                 yield Force(source=source, target=target, class_signature=signature)
-
-
-def _irreducible(source: int, kept: dict[int, list[int]], lows: int) -> bool:
-    """Whether ``source`` contains no source of ``kept``, which lists each
-    under its lowest member, one of the bits of ``lows``."""
-    members = source & lows
-    while members:
-        low = members & -members
-        for inner in kept.get(low, ()):
-            if not inner & ~source:
-                return False
-        members ^= low
-    return True
 
 
 def derived_set_greedy(g: ColoredDigraph, black: int) -> DerivationTrace:

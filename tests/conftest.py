@@ -4,11 +4,12 @@ production code is checked against (all-subsets force enumeration and its
 irreducible forces, the backtracking and greedy derivations over it, the
 eager force enumeration that tests every slice, matching classes, the
 classic forcing rule, the edge-operation search memoized on exact states,
-numeric realizations of slice patterns and the determinant's value there,
-the weighted adjacency of one realization, the Kalman rank test, zero
-extension solved from scratch each round or run one realization at a time,
-the per-trial sampled verdict, and a witness diagonal for a leader set that
-is not balancing)."""
+its moves with a graph built for every recoloring, numeric realizations
+of slice patterns and the determinant's value there, the weighted
+adjacency of one realization, the Kalman rank test, zero extension solved
+from scratch each round or run one realization at a time, the per-trial
+sampled verdict, and a witness diagonal for a leader set that is not
+balancing)."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from colored_ssc.bipartite import (
     equivalence_classes,
 )
 from colored_ssc.corpus import load as load_fig
-from colored_ssc.edgeops import EeoTrace, apply_op, find_edge_ops
+from colored_ssc.edgeops import EeoTrace, RemoveEdges, _row, apply_op, find_edge_ops, wildcard_key
 from colored_ssc.forcing import (
     DerivationTrace,
     Force,
@@ -444,6 +445,29 @@ def reference_eeo_derived_set(
     if states > budget:
         return EeoTrace(best.graphs, best.derivations, best.ops, budget_exhausted=True), states
     return best, states
+
+
+def reference_moves(graph: ColoredDigraph, stuck: list[DerivationTrace], key):
+    """The moves of ``edgeops._moves``, in its order, with a recolored graph
+    built and asked for removals for every recoloring that
+    :func:`find_edge_ops` offers, whether or not a removal can use it."""
+    for derivation in stuck:
+        final = derivation.final
+        rows = (key if key is not None and final == key[0] else wildcard_key(graph, final))[1]
+        for op in find_edge_ops(graph, final):
+            if isinstance(op, RemoveEdges):
+                moves = [((op, graph),)]
+            else:
+                recolored = apply_op(graph, op)
+                moves = [
+                    ((op, graph), (removal, recolored))
+                    for removal in find_edge_ops(recolored, final)
+                    if isinstance(removal, RemoveEdges) and removal.u == op.u
+                ]
+            for steps in moves:
+                u, v = steps[-1][0].u, steps[-1][0].v
+                row = _row(graph, v, final, graph.out_masks[u])
+                yield derivation, steps, (final, (*rows[:v], row, *rows[v + 1 :]))
 
 
 def classic_derived_set(g: ColoredDigraph, black: int) -> int:

@@ -44,6 +44,7 @@ from conftest import (
     random_digraph,
     reducible,
     reference_eeo_derived_set,
+    reference_moves,
     standalone_bipartite,
     sweep_graphs,
     weighted_adjacency,
@@ -405,6 +406,13 @@ def planted_pair_graph(rng: np.random.Generator) -> ColoredDigraph:
     return ColoredDigraph(n=n, edges=edges, colors=("c1", "c2", "c3"), leaders=(0, 1))
 
 
+def pair_graphs() -> list[ColoredDigraph]:
+    """The golden sweep and 60 planted-pair graphs, whose stuck sets carry
+    pair moves."""
+    rng = np.random.default_rng(43)
+    return [*sweep_graphs(), *(planted_pair_graph(rng) for _ in range(60))]
+
+
 def stage_moves(g: ColoredDigraph, black: int) -> list:
     """The search's moves at a stuck set ``black`` of ``g``."""
     return list(edgeops._moves(g, [DerivationTrace(black, (), black)], None))
@@ -611,6 +619,55 @@ class TestStageMemo:
         assert len(stages) == 7
 
 
+class TestPairMoves:
+    """A pair move's recolored graph is built only when u's white fan,
+    turned to the new color, lies inside another black v's; no other
+    recoloring lets :func:`find_edge_ops` offer the removal (u, v)."""
+
+    def test_moves_match_unfiltered_reference(self, monkeypatch):
+        # at every stuck set the searches meet, the moves equal those of the
+        # loop that builds every recolored graph
+        moves = edgeops._moves
+        calls, pairs = [0], [0]
+
+        def checked(graph, stuck, key):
+            got = list(moves(graph, stuck, key))
+            assert got == list(reference_moves(graph, stuck, key))
+            calls[0] += 1
+            pairs[0] += sum(len(steps) == 2 for _, steps, _ in got)
+            return iter(got)
+
+        monkeypatch.setattr(edgeops, "_moves", checked)
+        docs = (FS_SEED2_2290, FS_SEED8_2807, PATH36)
+        for g in (*pair_graphs(), *map(validate, docs)):
+            eeo_derived_set(g, g.leader_mask)
+        assert calls[0] > 300 and pairs[0] > 80
+
+    def test_path36_builds_no_recolored_graph(self, monkeypatch):
+        # 31 colors and no pair: no fan's heads all lie in another black
+        # vertex's fan, so no recoloring is applied
+        applied, found = [], [0]
+        apply, find = edgeops.apply_op, edgeops.find_edge_ops
+
+        def counting_apply(graph, op):
+            applied.append(op)
+            return apply(graph, op)
+
+        def counting_find(graph, black):
+            found[0] += 1
+            return find(graph, black)
+
+        monkeypatch.setattr(edgeops, "apply_op", counting_apply)
+        monkeypatch.setattr(edgeops, "find_edge_ops", counting_find)
+        g = validate(PATH36)
+        trace = eeo_derived_set(g, g.leader_mask)
+        assert not trace.complete and not trace.budget_exhausted
+        assert not any(isinstance(op, TurnColor) for op in applied)
+        # six removals build the stages below the root, and each of the
+        # seven stages asks for its operations once
+        assert len(applied) == 6 and found[0] == 7
+
+
 class TestSpentBudgets:
     """Searches that spent the whole stage budget while every recoloring was
     a stage of its own exhaust their space in a few stages, counted with a
@@ -776,11 +833,14 @@ class TestSliceSkips:
         monkeypatch.setattr(edgeops, "apply_op", spy_apply)
         monkeypatch.setattr(forcing, "iter_forces", spy_iter)
         monkeypatch.setattr(forcing, "slice_key", spy_key)
-        for g, black, budget in self.searches(420):
+        # a recolored graph is built only for a pair move's removal, which
+        # the planted graphs carry
+        pairs = [(g, g.leader_mask, None) for g in pair_graphs()]
+        for g, black, budget in [*self.searches(420), *pairs]:
             roots.clear()
             eeo_derived_set(g, black, budget=budget)
         assert not any(tested)
-        assert recolorings[0] > 100 and len(tested) > 1000
+        assert recolorings[0] > 50 and len(tested) > 1000
 
 
 class TestRecoloredRoots:
@@ -794,10 +854,8 @@ class TestRecoloredRoots:
     def test_no_force_at_the_stuck_set(self):
         # none of the recolorings offered at a stuck set has a force there,
         # the middle of each pair move among them
-        rng = np.random.default_rng(43)
-        graphs = [planted_pair_graph(rng) for _ in range(60)]
         recolorings = pairs = 0
-        for g in (*sweep_graphs(), *graphs):
+        for g in pair_graphs():
             _, stuck = derivation_outcomes(g, g.leader_mask)
             for derivation in stuck:
                 black = derivation.final

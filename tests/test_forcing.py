@@ -206,6 +206,43 @@ class TestFindForces:
             assert got == (want[: len(got)] if refused else want)
         assert reducible > 100
 
+    @pytest.mark.parametrize(
+        "candidates, whites", [((1, 12), (1, 6)), ((13, 20), (1, 3))], ids=["pruned", "listed"]
+    )
+    def test_walk_matches_all_subsets_reference(self, candidates, whites):
+        # a walk over at most MAX_SOURCE_CAP candidates lists no superset
+        # of a tight source; one over more lists every subset, and with a
+        # white set this small it is never refused: both yield exactly the
+        # irreducible forces.  Each candidate reaches one or two whites, so
+        # tight sources nest often; two black vertices reach no white.
+        rng = np.random.default_rng(36)
+        forces = reducible_forces = 0
+        for _ in range(60):
+            c, w = (int(rng.integers(lo, hi + 1)) for lo, hi in (candidates, whites))
+            n = c + w + 2
+            edges = {
+                (t, c + 2 + int(h), int(rng.integers(3)))
+                for t in range(c)
+                for h in rng.choice(w, size=min(w, int(rng.integers(1, 3))), replace=False)
+            }
+            edges |= {
+                (t, h, int(rng.integers(3)))
+                for t in range(c + 2)
+                for h in range(c + 2)
+                if t != h and rng.random() < 0.2
+            }
+            used = {col: i for i, col in enumerate(sorted({col for *_, col in edges}))}
+            edges = tuple(sorted((t, h, used[col]) for t, h, col in edges))
+            g = ColoredDigraph(n=n, edges=edges, colors=("c1", "c2", "c3")[: len(used)])
+            black = (1 << (c + 2)) - 1
+            assert sum(1 for v in range(n) if g.out_masks[v] & ~black and black >> v & 1) == c
+            every = all_subsets_forces(g, black, w)
+            want = irreducible(g, black, every)
+            assert find_forces(g, black) == want
+            forces += len(want)
+            reducible_forces += len(every) - len(want)
+        assert forces > 150 and reducible_forces > 1000
+
     def test_small_cap_config(self, monkeypatch):
         g = load_fig("fig8")
         monkeypatch.setattr(forcing, "MAX_SOURCE_CAP", 3)

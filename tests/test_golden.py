@@ -9,15 +9,18 @@ which no corpus graph has; the budget-2 sweep pins the traces of searches
 that spend their budget, which no other entry reaches.  A
 digest of ``oracle --json`` over the n = 30-62 scale family pins the
 lockstep batches at the target scale, which the small graphs of the sweep
-never stack past a few rows; a digest of ``check --json`` over the same
-graphs pins the certificates and the exit-3 refusals of the force search
-at the target scale, and one over graphs 0-7 of each density of the
-dense62 family pins the refusals of denser 62-vertex graphs, where most
-black sets pass the source budget.  A digest of ``check --json`` over the
-n = 17-20 mid family, drawn as the benchmark's forcing-scale graphs are,
-pins the force walks at the roots of the stages that edge operations
-reach at that size; the sweep's graphs are smaller (n = 4-10) and the
-scale family's sparser (edge probability 4.5 / n).
+never stack past a few rows; a digest of ``check --json`` over graphs 0-23
+of each size pins the certificates and every exit-3 refusal of the force
+search at the target scale, and one over graphs 0-23 of each density of
+the dense62 family pins the refusals of denser 62-vertex graphs, where
+most black sets pass the source budget.  A force walk over at most
+``MAX_SOURCE_CAP`` candidates is never refused, and one over more lists
+every subset it counts, so these two digests hold each refusal in place.
+A digest of ``check --json`` over the n = 17-20 mid family, drawn as the
+benchmark's forcing-scale graphs are, pins the force walks at the roots of
+the stages that edge operations reach at that size; the sweep's graphs are
+smaller (n = 4-10) and the scale family's sparser (edge probability
+4.5 / n).
 
 Refactors that should not change results are held to byte-identical output
 by this gate.  After a change that is meant to alter output, regenerate the
@@ -63,9 +66,10 @@ SCALE_SWEEPS = {
     "scale oracle --json": ("oracle", "--json"),
     "scale check --json": ("check", "--json"),
 }
-SCALE_SIZES, SCALE_GRAPHS = (30, 40, 50, 62), 12
+SCALE_SIZES = (30, 40, 50, 62)
+SCALE_GRAPHS = {"scale oracle --json": 12, "scale check --json": 24}
 DENSE_SWEEP = "dense check --json"
-DENSE_DEGREES, DENSE_GRAPHS = (3.0, 6.0, 9.0), 8
+DENSE_DEGREES, DENSE_GRAPHS = (3.0, 6.0, 9.0), 24
 MID_SWEEP = "mid check --json"
 MID_SIZES, MID_GRAPHS = (17, 18, 19, 20), 24
 
@@ -105,14 +109,14 @@ def sweep_sha256(sweep: str) -> str:
 
 
 def scale_sha256(sweep: str) -> str:
-    """The sweep's command digested over graphs 0-11 of each size of the
-    scale family."""
-    graphs = (scale_graph(n, i) for n in SCALE_SIZES for i in range(SCALE_GRAPHS))
+    """The sweep's command digested over the first ``SCALE_GRAPHS[sweep]``
+    graphs of each size of the scale family."""
+    graphs = (scale_graph(n, i) for n in SCALE_SIZES for i in range(SCALE_GRAPHS[sweep]))
     return _digest(graphs, SCALE_SWEEPS[sweep])
 
 
 def dense_sha256() -> str:
-    """``check --json`` digested over graphs 0-7 of each density of the
+    """``check --json`` digested over graphs 0-23 of each density of the
     dense62 family."""
     graphs = (dense_graph(d, i) for d in DENSE_DEGREES for i in range(DENSE_GRAPHS))
     return _digest(graphs, ("check", "--json"))
@@ -175,13 +179,13 @@ def test_scale_oracle_digest(golden):
 
 
 def test_scale_check_digest(golden):
-    # 36 CONTROLLABLE, 11 refused with exit 3 and 1 UNDECIDED
+    # 70 CONTROLLABLE, 24 refused with exit 3 and 2 UNDECIDED
     sweep = "scale check --json"
     assert scale_sha256(sweep) == golden[sweep]
 
 
 def test_dense_check_digest(golden):
-    # 6 CONTROLLABLE and 18 refused with exit 3
+    # 16 CONTROLLABLE and 56 refused with exit 3
     assert dense_sha256() == golden[DENSE_SWEEP]
 
 
