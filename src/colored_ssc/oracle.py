@@ -14,12 +14,16 @@ A set is not balancing when the fixpoint stops short of every vertex.
 
 The sampled verdict first takes the rounds that the graph's support
 decides: a balance equation with one white coefficient forces that
-vertex whatever the nonzero color values are.  Those rounds run on
-bitmasks, with no realization and no tolerance; when they reach every
-vertex the verdict is CORROBORATED without a single draw.  Otherwise the
-trials of the graph resume, in lockstep, from the first round the support
-does not decide: one stack of realizations, one stacked null basis, one
-numpy call per reflection and per forced-vertex test for the whole stack.
+vertex whatever the nonzero color values are, and equations left with
+two or more white coefficients force nothing more while no two of them
+share a white vertex.  Those rounds run on bitmasks, with no realization
+and no tolerance.  When they reach every vertex the verdict is
+CORROBORATED without a single draw; when they end on a fixpoint short of
+it, no realization is balancing, and the verdict is COUNTEREXAMPLE at
+trial 0 with no zero extension run.  Otherwise the trials of the graph
+resume, in lockstep, from the first round the support does not decide:
+one stack of realizations, one stacked null basis, one numpy call per
+reflection and per forced-vertex test for the whole stack.
 A round admits only equations that still have a white coefficient.  A
 batch whose realizations disagree on a rank decision, which generic draws
 almost never do, runs each of them again on its own.  Trial 0 runs alone
@@ -129,42 +133,57 @@ def sample_realization(g: ColoredDigraph, seed: int) -> Realization:
 
 def _exact_rounds(
     out_masks: tuple[int, ...], zero: int, full: int
-) -> tuple[tuple[tuple[int, int], ...], int]:
+) -> tuple[tuple[tuple[int, int], ...], int, bool]:
     """The rounds of zero extension from ``zero`` that the support decides,
-    and the zero set they end on.
+    the zero set they end on, and whether that set is the fixpoint on every
+    realization.
 
     Vertex j's balance equation has a nonzero coefficient at each
-    out-neighbor of j, whatever the color values.  An equation with one
+    out-neighbor of j, whatever the color values.  Each round reads every
+    equation of the zero set that still has a white unknown: the ones
+    carried from earlier rounds, restricted to the new white set, and
+    those of the vertices the last round forced.  An equation with one
     unforced white vertex forces it; propagating that through the round's
-    equations gives a set F.  When no equation keeps two or more unforced
-    white vertices, the solutions are exactly the vectors that vanish on F,
-    so the round forces F on every realization.  The rounds stop at the
-    first that leaves such an equation, or that forces nothing.  An
-    equation decided in one round has no white coefficient left after it,
-    so each round reads only the equations of the vertices the last one
-    forced.
+    equations gives a set F.  When the equations left over keep pairwise
+    disjoint sets of unforced white vertices, the round forces exactly F
+    on every realization: each leftover equation has at least two nonzero
+    coefficients and shares no unknown with another, so it has a solution
+    nonzero on all its unknowns; these, with zeros on F and ones on the
+    other white vertices, make one solution of the round that vanishes on
+    F alone among the white vertices.  A round that forces nothing then
+    ends on a fixpoint short of every vertex, so the starting set is
+    balancing for no realization.  The rounds stop undecided at the first
+    whose leftover equations share an unknown.
     """
     steps: list[tuple[int, int]] = []
     new = zero
+    pending: list[int] = []  # the equations with a white unknown left
     while zero != full:
         white = full & ~zero
-        pending = [out_masks[j] & white for j in iter_vset(new)]
+        for j in iter_vset(new):
+            if s := out_masks[j] & white:
+                pending.append(s)
         forced = 0
         while True:
             singles = 0
             for s in pending:
-                if s and not s & (s - 1):
+                if not s & (s - 1):
                     singles |= s
             if not singles:
                 break
             forced |= singles
             pending = [s & ~forced for s in pending if s & ~forced]
-        if pending or not forced:  # two unknowns left, or nothing forced
-            break
+        seen = 0
+        for s in pending:
+            if s & seen:  # two leftover equations share an unknown
+                return tuple(steps), zero, False
+            seen |= s
+        if not forced:
+            return tuple(steps), zero, True
         steps.append((zero, forced))
         zero |= forced
         new = forced
-    return tuple(steps), zero
+    return tuple(steps), zero, True
 
 
 def _stacked_adjacency(g: ColoredDigraph, realizations: list[Realization]) -> np.ndarray:
@@ -305,11 +324,14 @@ def sampled_verdict(
     Returns the first failing realization if any; trials are indexed
     deterministically from the seed so failures reproduce.  When the rounds
     the support decides reach every vertex, every realization is balancing
-    and none is drawn.  Otherwise the trials resume from where those rounds
-    stop: trial 0 alone, the rest in lockstep batches within
-    ``BATCH_BYTES``, each realization of a batch that disagrees on a rank
-    decision on its own; a batch reports its lowest failing trial, so the
-    verdict is the one a loop over the trials in order gives.
+    and none is drawn.  When they end on a fixpoint short of every vertex,
+    no realization is balancing: the counterexample is trial 0's, the one
+    realization drawn, and no zero extension runs.  Otherwise the trials
+    resume from where those rounds stop: trial 0 alone, the rest in
+    lockstep batches within ``BATCH_BYTES``, each realization of a batch
+    that disagrees on a rank decision on its own; a batch reports its
+    lowest failing trial, so the verdict is the one a loop over the trials
+    in order gives.
     """
     if trials < 1:
         raise InvalidTrialsError(f"trials must be >= 1, got {trials}")
@@ -317,9 +339,23 @@ def sampled_verdict(
         if not g.leaders:
             raise NoLeadersError("graph has no leader set")
         leader_mask = g.leader_mask
-    steps, zero = _exact_rounds(g.out_masks, leader_mask, g.full_mask)
+    steps, zero, decided = _exact_rounds(g.out_masks, leader_mask, g.full_mask)
     if zero == g.full_mask:
+        log.debug("support reached all %d vertices after %d rounds", g.n, len(steps))
         return OracleVerdict(corroborated=True, trials=trials)
+    if decided:
+        log.debug(
+            "support stopped at %d of %d vertices: not balancing anywhere",
+            zero.bit_count(),
+            g.n,
+        )
+        return OracleVerdict(
+            corroborated=False,
+            trials=trials,
+            counterexample=sample_realization(g, seed),
+            seed_offset=0,
+        )
+    log.debug("floats resumed at round %d", len(steps))
     batch = max(1, BATCH_BYTES // (8 * g.n * g.n))
     start, stop = 0, 1  # trial 0 alone: a graph that is not balancing fails there
     while start < trials:

@@ -4,6 +4,7 @@ Kalman rank test, and sampled verdicts."""
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from itertools import product
 
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from colored_ssc import oracle
+from colored_ssc.analysis import VERDICT_CONTROLLABLE, analyze
 from colored_ssc.corpus import GRAPH_IDS, load as load_fig
-from colored_ssc.graph import ColoredDigraph, validate, vset
+from colored_ssc.forcing import EnumerationCapError, SearchBoundExceededError
+from colored_ssc.graph import ColoredDigraph, iter_vset, validate, vset
 from colored_ssc.oracle import (
     BATCH_BYTES,
     InvalidTrialsError,
@@ -27,6 +30,7 @@ from colored_ssc.oracle import (
 
 from conftest import (
     chain_digraph,
+    dense_graph,
     forced_white,
     kalman_rank,
     labels,
@@ -337,7 +341,8 @@ class TestLockstep:
         g = scale_graph(62, 10)
         batch = oracle.BATCH_BYTES // (8 * g.n * g.n)
         assert batch == 17
-        steps, zero = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
+        steps, zero, decided = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
+        assert not decided  # so the float route runs
         ws = np.stack([weighted_adjacency(g, sample_realization(g, t)) for t in range(1, 1 + batch)])
         assert oracle._zero_extension(ws, zero, steps) is None
         log: list = []
@@ -413,16 +418,37 @@ class TestSampledVerdict:
         report = sampled_verdict(g, trials=100).to_jsonable()
         assert report == {"verdict": verdict, "trials": 100, "failures": failures}
 
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("chain", "support reached all 62 vertices after 61 rounds"),
+            ("twins", "support stopped at 60 of 62 vertices: not balancing anywhere"),
+            ("crossed", "floats resumed at round 0"),
+        ],
+    )
+    def test_route_logged(self, graph, message, caplog):
+        # a debug line names the route that decided the verdict
+        if graph == "crossed":
+            g = _crossed_chain(62)
+        else:
+            g = chain_digraph(np.random.default_rng(62), 62, graph == "twins")
+        with caplog.at_level(logging.DEBUG, logger="colored_ssc.oracle"):
+            sampled_verdict(g, trials=2)
+        assert caplog.messages[0] == message
+
 
 class TestExactRounds:
-    """The rounds the support decides are the reference's first rounds, and
-    a verdict they decide draws no realization."""
+    """The rounds the support decides are the reference's first rounds, a
+    fixpoint they decide is the reference's on every realization, and a
+    verdict they decide runs no zero extension."""
 
     @staticmethod
     def _graphs():
         rng = np.random.default_rng(83)
         for _ in range(300):
             yield random_digraph(rng)
+        for _ in range(100):  # larger graphs stop undecided after a round more often
+            yield random_digraph(rng, n_min=8, n_max=12)
         for n in (20, 30, 40, 50, 62):
             for twins in (False, True):
                 yield chain_digraph(np.random.default_rng(n + 100 * twins), n, twins)
@@ -431,22 +457,108 @@ class TestExactRounds:
     def test_prefix_of_reference(self):
         stops = Counter()
         for i, g in enumerate(self._graphs()):
-            steps, zero = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
-            w = weighted_adjacency(g, sample_realization(g, 8000 + i))
+            steps, zero, decided = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
+            stuck = decided and zero != g.full_mask
+            assert decided or zero != g.full_mask
+            for trial in range(3 if stuck else 1):
+                w = weighted_adjacency(g, sample_realization(g, 8000 + i + 1000 * trial))
+                reference = reference_zero_extension(w, g.leader_mask)
+                assert reference.steps[: len(steps)] == steps
+                if decided:  # the reference ends where the support does
+                    assert reference.final == zero
+                # the lockstep route resumes where the exact rounds stop
+                [trace] = oracle._zero_extension(w[None], zero, steps)
+                assert trace == reference
+            kind = "stuck" if stuck else "all" if decided else "some" if steps else "none"
+            stops[kind] += 1
+        assert min(stops["all"], stops["some"], stops["none"], stops["stuck"]) >= 5
+
+    @staticmethod
+    def _check_against_reference(g: ColoredDigraph, expected: tuple) -> None:
+        assert oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask) == expected
+        steps, zero, decided = expected
+        for trial in range(5):
+            w = weighted_adjacency(g, sample_realization(g, trial))
             reference = reference_zero_extension(w, g.leader_mask)
             assert reference.steps[: len(steps)] == steps
-            if zero == g.full_mask:
-                assert reference.final == g.full_mask
-            # the lockstep route resumes where the exact rounds stop
-            [trace] = oracle._zero_extension(w[None], zero, steps)
-            assert trace == reference
-            stops["all" if zero == g.full_mask else "some" if steps else "none"] += 1
-        assert min(stops["all"], stops["some"], stops["none"]) >= 5
+            assert (reference.final == zero) is decided
+
+    def test_leftover_equation_carried_forward(self):
+        # leader 0's equation {2, 3} is left over in round 1, where leader
+        # 1's forces 4; in round 2, vertex 4's equation {2} forces 2, and
+        # the carried {2, 3} then forces 3
+        g = ColoredDigraph(
+            n=5,
+            edges=((0, 2, 0), (0, 3, 1), (1, 4, 0), (4, 2, 1)),
+            colors=("c1", "c2"),
+            leaders=(0, 1),
+        )
+        rounds = ((labels(1, 2), labels(5)), (labels(1, 2, 5), labels(3, 4)))
+        self._check_against_reference(g, (rounds, g.full_mask, True))
+
+    def test_shared_unknown_stays_undecided(self, monkeypatch):
+        # the leaders' equations share both unknowns 2 and 3; the pair is
+        # singular only where |c1| = |c2|, so the floats decide it balancing
+        g = _crossed_chain(5)
+        self._check_against_reference(g, ((), g.leader_mask, False))
+        calls = []
+        lockstep = oracle._zero_extension
+
+        def spy(w, zero, steps):
+            calls.append(len(w))
+            return lockstep(w, zero, steps)
+
+        monkeypatch.setattr(oracle, "_zero_extension", spy)
+        verdict = sampled_verdict(g, trials=20)
+        assert verdict == per_trial_verdict(g, g.leader_mask, 20)
+        assert verdict.corroborated and calls
+
+    def test_no_certified_leader_set_is_stuck(self):
+        """Soundness of the support refuter: no leader set that ``analyze``
+        certifies is balancing for no realization."""
+        rng = np.random.default_rng(97)
+        graphs = [load_fig(graph_id) for graph_id in GRAPH_IDS]
+        graphs += [random_digraph(rng) for _ in range(300)]
+        graphs += [scale_graph(n, i) for n in (30, 40, 50, 62) for i in range(6)]
+        graphs += [dense_graph(d, i) for d in (3.0, 6.0, 9.0) for i in range(6)]
+        seen = Counter()
+        for g in graphs:
+            _, zero, decided = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
+            stuck = decided and zero != g.full_mask
+            try:
+                certified = analyze(g).verdict == VERDICT_CONTROLLABLE
+            except (SearchBoundExceededError, EnumerationCapError):
+                certified = False
+            assert not (certified and stuck)
+            seen["certified" if certified else "stuck" if stuck else "open"] += 1
+        assert seen["certified"] >= 100 and seen["stuck"] >= 50
 
 
 def _trial_counts(g: ColoredDigraph) -> tuple[int, int, int]:
     """One trial, two, and one more than a lockstep batch."""
     return 1, 2, oracle.BATCH_BYTES // (8 * g.n * g.n) + 1
+
+
+def _check_decided_by_the_support(
+    g: ColoredDigraph, monkeypatch: pytest.MonkeyPatch, corroborated: bool
+) -> None:
+    """A verdict the exact rounds decide runs no zero extension and draws
+    no realization when corroborated, trial 0's alone otherwise, and it is
+    the per-trial loop's at one trial, two and one more than a batch."""
+    draws = []
+    draw = oracle.sample_realization
+    monkeypatch.setattr(oracle, "sample_realization", lambda g, s: draws.append(s) or draw(g, s))
+
+    def no_float_route(*args):
+        raise AssertionError("zero extension ran on a verdict the support decides")
+
+    monkeypatch.setattr(oracle, "_zero_extension", no_float_route)
+    for trials in _trial_counts(g):
+        draws.clear()
+        verdict = sampled_verdict(g, trials=trials, seed=11)
+        assert verdict == per_trial_verdict(g, g.leader_mask, trials, seed=11)
+        assert verdict.corroborated is corroborated
+        assert draws == ([] if corroborated else [11])
 
 
 class TestAgainstPerTrialLoop:
@@ -480,21 +592,29 @@ class TestAgainstPerTrialLoop:
         # the exact rounds decide a chain with no draw; a twins graph fails
         # at its first realization
         g = chain_digraph(np.random.default_rng(62), 62, twins)
-        draws = []
-        draw = oracle.sample_realization
-        monkeypatch.setattr(oracle, "sample_realization", lambda g, s: draws.append(s) or draw(g, s))
-        for trials in _trial_counts(g):
-            draws.clear()
-            verdict = sampled_verdict(g, trials=trials)
-            assert verdict == per_trial_verdict(g, g.leader_mask, trials)
-            assert verdict.corroborated is not twins
-            assert draws == ([0] if twins else [])
+        _check_decided_by_the_support(g, monkeypatch, corroborated=not twins)
+
+    def test_random_stuck(self, monkeypatch):
+        _check_decided_by_the_support(_random_stuck_digraph(), monkeypatch, corroborated=False)
 
     @pytest.mark.parametrize("g", [EDGELESS, LEADER_ONLY], ids=["edgeless", "leader-only"])
     def test_edge_graphs(self, g, monkeypatch):
         monkeypatch.setattr(oracle, "BATCH_BYTES", 3 * 8 * g.n * g.n)
         for trials in _trial_counts(g):
             assert sampled_verdict(g, trials=trials) == per_trial_verdict(g, g.leader_mask, trials)
+
+
+def _random_stuck_digraph() -> ColoredDigraph:
+    """The first ``random_digraph`` of seed 89 whose support takes a round
+    and then decides a fixpoint short of every vertex at which some
+    equation keeps two or more white unknowns."""
+    rng = np.random.default_rng(89)
+    while True:
+        g = random_digraph(rng, n_min=5, n_max=9)
+        steps, zero, decided = oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask)
+        leftover = [s for s in (g.out_masks[j] & ~zero for j in iter_vset(zero)) if s & (s - 1)]
+        if decided and zero != g.full_mask and steps and leftover:
+            return g
 
 
 def _crossed_chain(n: int) -> ColoredDigraph:
@@ -513,7 +633,11 @@ def test_batches_stay_within_the_byte_budget(monkeypatch):
     per realization, as W does.  After two real batches the spy answers
     balancing, so that 10,000 trials stay cheap."""
     g = _crossed_chain(62)
-    assert oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask) == ((), g.leader_mask)
+    assert oracle._exact_rounds(g.out_masks, g.leader_mask, g.full_mask) == (
+        (),
+        g.leader_mask,
+        False,
+    )
     sizes = []
     lockstep = oracle._zero_extension
 
